@@ -26,7 +26,14 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import DatabaseError, ReproError
 from repro.sql import ast
-from repro.sql.analysis import all_conditions, alias_map, conjoin, has_left_join
+from repro.sql.analysis import (
+    all_conditions,
+    alias_map,
+    conjoin,
+    has_left_join,
+    implied_equalities,
+)
+from repro.sql.params import bind_expression
 from repro.sql.printer import to_sql
 from repro.db.expr import Scope, evaluate
 from repro.db.log import UpdateRecord
@@ -74,6 +81,9 @@ class _ValueSubstituter:
         self.failed = False
 
     def rewrite(self, node: ast.Expr) -> ast.Expr:
+        return ast.map_scalar(node, self._substitute)
+
+    def _substitute(self, node: ast.Expr) -> ast.Expr:
         if isinstance(node, ast.ColumnRef):
             table = node.table.lower() if node.table else None
             if table == self.binding:
@@ -82,37 +92,76 @@ class _ValueSubstituter:
                     self.failed = True
                     return node
                 return ast.Literal(self.values[column])
-            return node
-        if isinstance(node, ast.Binary):
-            return ast.Binary(node.op, self.rewrite(node.left), self.rewrite(node.right))
-        if isinstance(node, ast.Unary):
-            return ast.Unary(node.op, self.rewrite(node.operand))
-        if isinstance(node, ast.Between):
-            return ast.Between(
-                self.rewrite(node.expr),
-                self.rewrite(node.low),
-                self.rewrite(node.high),
-                node.negated,
-            )
-        if isinstance(node, ast.InList):
-            return ast.InList(
-                self.rewrite(node.expr),
-                tuple(self.rewrite(item) for item in node.items),
-                node.negated,
-            )
-        if isinstance(node, ast.IsNull):
-            return ast.IsNull(self.rewrite(node.expr), node.negated)
-        if isinstance(node, ast.FunctionCall):
-            return ast.FunctionCall(
-                node.name, tuple(self.rewrite(arg) for arg in node.args), node.distinct
-            )
-        if isinstance(node, ast.Case):
-            whens = tuple(
-                (self.rewrite(cond), self.rewrite(value)) for cond, value in node.whens
-            )
-            default = self.rewrite(node.default) if node.default is not None else None
-            return ast.Case(whens, default)
         return node
+
+
+#: Sentinel distinguishing "evaluates to SQL NULL" from "cannot evaluate".
+UNEVALUABLE = object()
+_EMPTY_SCOPE = Scope([])
+
+
+def fold_constant(expr: ast.Expr, bindings: Tuple[Value, ...] = ()):
+    """Bind and fold a column-free expression to its value, or
+    :data:`UNEVALUABLE` (the checker skips what it cannot evaluate)."""
+    try:
+        return evaluate(bind_expression(expr, bindings), (), _EMPTY_SCOPE)
+    except ReproError:
+        return UNEVALUABLE
+
+
+def first_failing(
+    conditions: Sequence[ast.Expr], tuple_values: Dict[str, Value], scope: Scope
+) -> Optional[ast.Expr]:
+    """The first condition the changed tuple provably fails (FALSE or
+    NULL), or None.  A condition that cannot be evaluated on the tuple
+    alone is skipped: it cannot be used to rule the tuple out."""
+    row = tuple(tuple_values.values())
+    for condition in conditions:
+        try:
+            value = evaluate(condition, row, scope)
+        except (DatabaseError, ReproError):
+            continue
+        if value is not True:
+            return condition
+    return None
+
+
+def polling_query(
+    binding: str,
+    aliases: Dict[str, str],
+    residual: Sequence[ast.Expr],
+    tuple_values: Dict[str, Value],
+) -> Optional[ast.Select]:
+    """Example 4.1's PollQuery: the remaining tables, with the changed
+    tuple's values substituted for ``binding``'s columns.  None when a
+    residual cannot be substituted (the pair is then AFFECTED)."""
+    substituter = _ValueSubstituter(binding, tuple_values, aliases[binding])
+    substituted: List[ast.Expr] = []
+    for condition in residual:
+        rewritten = substituter.rewrite(condition)
+        if substituter.failed:
+            return None
+        # Leftover qualified references to the substituted binding
+        # (e.g. inside a subquery the substituter does not descend into)
+        # would make the polling query unexecutable or wrong.
+        for node in ast.walk(rewritten):
+            if (
+                isinstance(node, ast.ColumnRef)
+                and node.table is not None
+                and node.table.lower() == binding
+            ):
+                return None
+        substituted.append(rewritten)
+    sources = tuple(
+        ast.TableRef(aliases[name], alias=name if name != aliases[name] else None)
+        for name in sorted(aliases)
+        if name != binding
+    )
+    return ast.Select(
+        items=(ast.SelectItem(ast.FunctionCall("COUNT", (ast.Star(),))),),
+        sources=sources,
+        where=conjoin(substituted),
+    )
 
 
 class IndependenceChecker:
@@ -148,12 +197,13 @@ class IndependenceChecker:
             binding for binding, table in aliases.items() if table == record.table
         ]
         conditions = all_conditions(stmt)
+        implied = implied_equalities(conditions, aliases)
         tuple_values = record.as_dict()
 
         overall: Optional[Verdict] = None
         for binding in bindings_of_table:
             verdict = self._check_binding(
-                stmt, binding, aliases, conditions, tuple_values, record
+                binding, aliases, conditions, implied.get(binding, []), tuple_values
             )
             overall = self._combine(overall, verdict)
             if overall.kind is VerdictKind.AFFECTED:
@@ -164,12 +214,11 @@ class IndependenceChecker:
 
     def _check_binding(
         self,
-        stmt: ast.Select,
         binding: str,
         aliases: Dict[str, str],
         conditions: Sequence[ast.Expr],
+        implied: Sequence[ast.Expr],
         tuple_values: Dict[str, Value],
-        record: UpdateRecord,
     ) -> Verdict:
         single_binding = len(aliases) == 1
         local: List[ast.Expr] = []
@@ -179,8 +228,7 @@ class IndependenceChecker:
             if placement == "local":
                 local.append(condition)
             elif placement == "constant":
-                verdict = self._evaluate_constant(condition)
-                if verdict is False:
+                if fold_constant(condition) is False:
                     return Verdict(
                         VerdictKind.UNAFFECTED, reason="constant-false condition"
                     )
@@ -188,33 +236,24 @@ class IndependenceChecker:
             else:
                 residual.append(condition)
 
-        # Evaluate the local conditions directly on the changed tuple.
+        # Evaluate the local conditions — and the equalities the join
+        # chains imply for this binding — directly on the changed tuple.
+        # FALSE or NULL: the tuple cannot satisfy the query's conditions
+        # on this occurrence of R.
         scope = Scope([(binding, list(tuple_values.keys()))])
-        row = tuple(tuple_values.values())
-        for condition in local:
-            try:
-                value = evaluate(condition, row, scope)
-            except (DatabaseError, ReproError):
-                continue  # cannot evaluate: do not use it to rule out
-            if value is not True:
-                # FALSE or NULL: the tuple cannot satisfy the query's
-                # conditions on this occurrence of R.
-                return Verdict(
-                    VerdictKind.UNAFFECTED,
-                    reason=f"tuple fails local condition {to_sql(condition)}",
-                )
+        failed = first_failing(local + list(implied), tuple_values, scope)
+        if failed is not None:
+            return Verdict(
+                VerdictKind.UNAFFECTED,
+                reason=f"tuple fails local condition {to_sql(failed)}",
+            )
 
         other_bindings = [name for name in aliases if name != binding]
         if not other_bindings:
             return Verdict(VerdictKind.AFFECTED, reason="single-table query")
-        if not residual:
-            # The tuple joins unconditionally with the other tables; any
-            # non-empty other table makes the change visible.  Checking
-            # emptiness requires a (trivial) polling query.
-            residual = []
-        polling = self._build_polling_query(
-            stmt, binding, aliases, residual, tuple_values, record
-        )
+        # With no residual the tuple joins unconditionally with the other
+        # tables; checking their emptiness takes a (trivial) poll.
+        polling = polling_query(binding, aliases, residual, tuple_values)
         if polling is None:
             return Verdict(VerdictKind.AFFECTED, reason="unsubstitutable residual")
         return Verdict(VerdictKind.NEEDS_POLLING, polling_query=polling)
@@ -240,55 +279,6 @@ class IndependenceChecker:
         if qualified <= {binding, base_table}:
             return "local"
         return "residual"
-
-    def _evaluate_constant(self, condition: ast.Expr) -> Optional[bool]:
-        try:
-            value = evaluate(condition, (), Scope([]))
-        except (DatabaseError, ReproError):
-            return None
-        if value is True:
-            return True
-        if value is None:
-            return None
-        return bool(value) if isinstance(value, bool) else None
-
-    # -- polling-query construction ------------------------------------------------
-
-    def _build_polling_query(
-        self,
-        stmt: ast.Select,
-        binding: str,
-        aliases: Dict[str, str],
-        residual: Sequence[ast.Expr],
-        tuple_values: Dict[str, Value],
-        record: UpdateRecord,
-    ) -> Optional[ast.Select]:
-        """Example 4.1's PollQuery: the remaining tables, with the changed
-        tuple's values substituted for R's columns."""
-        substituter = _ValueSubstituter(binding, tuple_values, aliases[binding])
-        substituted: List[ast.Expr] = []
-        for condition in residual:
-            rewritten = substituter.rewrite(condition)
-            if substituter.failed:
-                return None
-            # Leftover qualified references to the substituted binding
-            # (e.g. inside a subquery the substituter does not descend
-            # into) would make the polling query unexecutable or wrong.
-            for node in ast.walk(rewritten):
-                if isinstance(node, ast.ColumnRef) and node.table is not None:
-                    if node.table.lower() == binding:
-                        return None
-            substituted.append(rewritten)
-        sources = tuple(
-            ast.TableRef(aliases[name], alias=name if name != aliases[name] else None)
-            for name in sorted(aliases)
-            if name != binding
-        )
-        return ast.Select(
-            items=(ast.SelectItem(ast.FunctionCall("COUNT", (ast.Star(),))),),
-            sources=sources,
-            where=conjoin(substituted),
-        )
 
     @staticmethod
     def _combine(current: Optional[Verdict], new: Verdict) -> Verdict:

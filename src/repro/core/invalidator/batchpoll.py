@@ -113,47 +113,12 @@ def batch_key(
     return parameterized.signature
 
 
-class _ParamToProbe:
-    """Rewrites ``$k`` parameters into ``__probe.__pk`` column references.
-
-    Applied to the parameterized template's WHERE clause; subqueries were
-    excluded by :func:`batch_key`, so the expression grammar here is the
-    subquery-free subset.
-    """
-
-    def rewrite(self, node: ast.Expr) -> ast.Expr:
-        if isinstance(node, ast.Parameter):
-            return ast.ColumnRef(f"__p{node.index}", PROBE_NAME)
-        if isinstance(node, ast.Binary):
-            return ast.Binary(node.op, self.rewrite(node.left), self.rewrite(node.right))
-        if isinstance(node, ast.Unary):
-            return ast.Unary(node.op, self.rewrite(node.operand))
-        if isinstance(node, ast.Between):
-            return ast.Between(
-                self.rewrite(node.expr),
-                self.rewrite(node.low),
-                self.rewrite(node.high),
-                node.negated,
-            )
-        if isinstance(node, ast.InList):
-            return ast.InList(
-                self.rewrite(node.expr),
-                tuple(self.rewrite(item) for item in node.items),
-                node.negated,
-            )
-        if isinstance(node, ast.IsNull):
-            return ast.IsNull(self.rewrite(node.expr), node.negated)
-        if isinstance(node, ast.FunctionCall):
-            return ast.FunctionCall(
-                node.name, tuple(self.rewrite(arg) for arg in node.args), node.distinct
-            )
-        if isinstance(node, ast.Case):
-            whens = tuple(
-                (self.rewrite(cond), self.rewrite(value)) for cond, value in node.whens
-            )
-            default = self.rewrite(node.default) if node.default is not None else None
-            return ast.Case(whens, default)
-        return node
+def _param_to_probe(node: ast.Expr) -> ast.Expr:
+    """``$k`` becomes ``__probe.__pk``; subqueries were excluded by
+    :func:`batch_key`, so the template's WHERE is subquery-free."""
+    if isinstance(node, ast.Parameter):
+        return ast.ColumnRef(f"__p{node.index}", PROBE_NAME)
+    return node
 
 
 def compile_batch(
@@ -171,7 +136,7 @@ def compile_batch(
     columns = (TID_COLUMN,) + tuple(f"__p{i}" for i in range(1, width))
     probe = ast.ValuesSource(rows=tuple(rows), name=PROBE_NAME, columns=columns)
     where = (
-        _ParamToProbe().rewrite(template.where)
+        ast.map_scalar(template.where, _param_to_probe)
         if template.where is not None
         else None
     )
@@ -231,21 +196,24 @@ class BatchPollExecutor:
         self.infomgmt = infomgmt
         self.generator = generator
 
-    def execute(
-        self, tasks: Sequence[Tuple[Hashable, ast.Select]]
-    ) -> Dict[Hashable, PollOutcome]:
-        """Answer every (key, polling query) task; returns key → outcome.
+    def execute(self, tasks: Sequence[Tuple]) -> Dict[Hashable, PollOutcome]:
+        """Answer every ``(key, polling query[, parameterized])`` task;
+        returns key → outcome.
 
-        Per-task order of authority matches ``poll_with_caching`` exactly:
-        cross-cycle result cache, then this cycle's coalescing memo, then
-        the database — batched when possible, per instance otherwise.
+        The optional third element is the query's precomputed
+        :func:`~repro.sql.params.parameterize` result (the cascade already
+        derived it for the scheduler's batch key).  Per-task order of
+        authority matches ``poll_with_caching`` exactly: cross-cycle
+        result cache, then this cycle's coalescing memo, then the
+        database — batched when possible, per instance otherwise.
         """
         outcomes: Dict[Hashable, PollOutcome] = {}
         groups: "Dict[str, _Group]" = {}
         generator = self.generator
         stats = generator.stats
         result_cache = self.infomgmt.result_cache
-        for key, query in tasks:
+        for task in tasks:
+            key, query = task[0], task[1]
             sql = to_sql(query)
             cached = result_cache.get(sql)
             if cached is not None:
@@ -254,9 +222,8 @@ class BatchPollExecutor:
                 continue
             # One parameterize pass per task: its (signature, bindings)
             # pair is both the cycle-coalescing key and (signature alone)
-            # the batch group identity, so compute it once and thread it
-            # through rather than re-deriving it at each step.
-            parameterized = parameterize(query)
+            # the batch group identity.
+            parameterized = task[2] if len(task) > 2 and task[2] else parameterize(query)
             pkey = (parameterized.signature, parameterized.bindings)
             memoized = generator.cycle_result_keyed(pkey)
             if memoized is not None:

@@ -77,7 +77,7 @@ from repro.sql.satisfiability import (
     scoped_resolver,
     verify_certificate,
 )
-from repro.core.invalidator.grouping import TypeAnalysis
+from repro.core.invalidator.grouping import GroupedChecker, TypeAnalysis
 from repro.core.invalidator.registration import (
     QueryInstance,
     QueryType,
@@ -184,6 +184,11 @@ class _InstanceProof:
     columns_required: FrozenSet[str]
 
 
+#: (instance, template-level column guard, instance-level column guard);
+#: a None guard means no proof at that level.
+_DisjointEntry = Tuple[QueryInstance, Optional[FrozenSet[str]], Optional[FrozenSet[str]]]
+
+
 def _split_conjuncts(expr: Optional[ast.Expr]) -> List[ast.Expr]:
     if expr is None:
         return []
@@ -212,24 +217,23 @@ class ConflictMatrix(RegistryListener):
         columns_of: Optional[Callable[[str], Optional[List[str]]]] = None,
     ) -> None:
         self._lock = threading.RLock()
-        self._analysis_for = analysis_for or self._own_analysis
+        self._analysis_for = analysis_for or GroupedChecker().analysis_for
         self._columns_of = columns_of
-        self._analyses: Dict[int, TypeAnalysis] = {}
         self._classes: Dict[str, UpdateClass] = {}
         self._classes_by_table: Dict[str, Dict[str, UpdateClass]] = {}
         self._cells: Dict[Tuple[int, str], Cell] = {}
         #: class name → instance_id → proof (None: tried, no proof).
         self._instance_proofs: Dict[str, Dict[int, Optional[_InstanceProof]]] = {}
-        #: instance_id → class-name tuple → skip candidates, hottest
-        #: cache in the runtime path: one cycle asks the same
-        #: (instance, class set) question once per update record.
-        self._skip_memo: Dict[
-            int, Dict[Tuple[str, ...], List[Tuple[str, FrozenSet[str]]]]
-        ] = {}
         self._instance_extractions: Dict[int, Optional[Dict[str, Extraction]]] = {}
         self._template_extractions: Dict[int, Dict[str, Extraction]] = {}
         self._constant_false: Set[int] = set()
         self._types_seen: Dict[int, QueryType] = {}
+        self._instances_by_table: Dict[str, Dict[int, QueryInstance]] = {}
+        #: class name → instance_id → (instance, template-level guard,
+        #: instance-level guard) for the instances proved disjoint from
+        #: the class: the bulk form of :meth:`skip_level`.  Built when a
+        #: class is first asked for, then kept current on register/drop.
+        self._disjoint: Dict[str, Dict[int, _DisjointEntry]] = {}
         # Proof/bookkeeping counters (consumer-side skips are counted by
         # the consumers themselves).
         self.cells_computed = 0
@@ -238,13 +242,6 @@ class ConflictMatrix(RegistryListener):
         self.certificate_failures = 0
 
     # -- registry listener protocol -------------------------------------------
-
-    def attach_to(self, registry: QueryTypeRegistry) -> "ConflictMatrix":
-        """Subscribe to ``registry`` and absorb its existing instances."""
-        registry.add_listener(self)
-        for instance in registry.instances():
-            self.instance_registered(instance)
-        return self
 
     def instance_registered(self, instance: QueryInstance) -> None:
         with self._lock:
@@ -256,15 +253,26 @@ class ConflictMatrix(RegistryListener):
             # precomputed because it short-circuits every class.
             if self._instance_constant_false(instance):
                 self._constant_false.add(instance.instance_id)
+            for table in instance.query_type.tables:
+                self._instances_by_table.setdefault(table, {})[
+                    instance.instance_id
+                ] = instance
+                for update_class in self._classes_by_table[table].values():
+                    members = self._disjoint.get(update_class.name)
+                    if members is not None:
+                        self._note_disjoint(members, instance, update_class.name)
 
     def instance_dropped(self, instance: QueryInstance) -> None:
         with self._lock:
             iid = instance.instance_id
             self._constant_false.discard(iid)
             self._instance_extractions.pop(iid, None)
-            self._skip_memo.pop(iid, None)
             for proofs in self._instance_proofs.values():
                 proofs.pop(iid, None)
+            for table in instance.query_type.tables:
+                self._instances_by_table.get(table, {}).pop(iid, None)
+            for members in self._disjoint.values():
+                members.pop(iid, None)
 
     # -- update classes --------------------------------------------------------
 
@@ -382,13 +390,6 @@ class ConflictMatrix(RegistryListener):
                 if cached.verdict is Verdict.DISJOINT:
                     self.template_disjoint += 1
             return cached
-
-    def _own_analysis(self, query_type: QueryType) -> TypeAnalysis:
-        analysis = self._analyses.get(query_type.type_id)
-        if analysis is None:
-            analysis = TypeAnalysis.of(query_type)
-            self._analyses[query_type.type_id] = analysis
-        return analysis
 
     def _type_guard(self, query_type: QueryType) -> Optional[str]:
         """Reason this type is ineligible for static verdicts, or None.
@@ -584,47 +585,80 @@ class ConflictMatrix(RegistryListener):
         to* (:meth:`classes_for_record`).  Returns ``"template"`` when a
         template-level cell decides the pair, ``"instance"`` for an
         instance-level refinement, or None — serve the runtime check.
-
-        Proof lookups are memoized per (instance, class set): cells and
-        instance proofs never change once computed, so only the
-        per-record column guard is re-evaluated pair by pair.
+        Only the per-record column guard is evaluated here: the proofs
+        come from the classes' disjoint sets.
         """
         with self._lock:
             iid = instance.instance_id
             if iid in self._constant_false:
                 return "instance"
-            key = tuple(class_names)
-            per_instance = self._skip_memo.setdefault(iid, {})
-            candidates = per_instance.get(key)
-            if candidates is None:
-                candidates = self._skip_candidates(instance, class_names)
-                per_instance[key] = candidates
-            for level, required in candidates:
-                if required <= record_columns:
-                    return level
-            return None
+            level: Optional[str] = None
+            for name in class_names:
+                entry = self._class_members(name).get(iid)
+                if entry is None:
+                    continue
+                _instance, template, proved = entry
+                if template is not None and template <= record_columns:
+                    return "template"
+                if proved is not None and proved <= record_columns:
+                    level = "instance"
+            return level
 
-    def _skip_candidates(
-        self, instance: QueryInstance, class_names: Sequence[str]
-    ) -> List[Tuple[str, FrozenSet[str]]]:
-        """Every proof that could decide (``instance``, one of these
-        classes), template-level first, each with its column guard."""
-        query_type = instance.query_type
-        template_level: List[Tuple[str, FrozenSet[str]]] = []
-        instance_level: List[Tuple[str, FrozenSet[str]]] = []
-        for name in class_names:
-            cell = self.cell(query_type, name)
-            if (
-                cell.verdict is Verdict.DISJOINT
-                # Template cells hold for every binding; instances
-                # still must be bindable for checker parity.
-                and self._instance_extraction(instance) is not None
-            ):
-                template_level.append(("template", cell.columns_required))
-            proof = self._instance_proof(instance, name)
-            if proof is not None:
-                instance_level.append(("instance", proof.columns_required))
-        return template_level + instance_level
+    def disjoint_instances(
+        self, class_names: Sequence[str], record_columns: Set[str]
+    ) -> Dict[int, Tuple[QueryInstance, str]]:
+        """:meth:`skip_level` in bulk: instance id → (instance, level) for
+        every registered instance a record of ``class_names`` carrying
+        ``record_columns`` would be skipped for.  Cost is the size of the
+        classes' disjoint sets, not of the registry."""
+        with self._lock:
+            found: Dict[int, Tuple[QueryInstance, str]] = {}
+            for name in class_names:
+                for iid, (instance, template, proved) in self._class_members(
+                    name
+                ).items():
+                    if template is not None and template <= record_columns:
+                        found[iid] = (instance, "template")
+                    elif proved is not None and proved <= record_columns:
+                        found.setdefault(iid, (instance, "instance"))
+            return found
+
+    def _class_members(self, class_name: str) -> Dict[int, "_DisjointEntry"]:
+        """The class's disjoint set, built over the registered instances
+        of its table on first use."""
+        members = self._disjoint.get(class_name)
+        if members is None:
+            members = {}
+            table = self._classes[class_name].table
+            for instance in self._instances_by_table.get(table, {}).values():
+                self._note_disjoint(members, instance, class_name)
+            self._disjoint[class_name] = members
+        return members
+
+    def _note_disjoint(
+        self,
+        members: Dict[int, "_DisjointEntry"],
+        instance: QueryInstance,
+        class_name: str,
+    ) -> None:
+        """Record ``instance`` in one class's disjoint set when a proof
+        exists: a DISJOINT template cell (the instance must still bind,
+        for checker parity) or an instance-level refinement, each with
+        the columns a changed tuple must carry for it to apply."""
+        if instance.instance_id in self._constant_false:
+            members[instance.instance_id] = (instance, None, frozenset())
+            return
+        cell = self.cell(instance.query_type, class_name)
+        template = (
+            cell.columns_required
+            if cell.verdict is Verdict.DISJOINT
+            and self._instance_extraction(instance) is not None
+            else None
+        )
+        proof = self._instance_proof(instance, class_name)
+        proved = proof.columns_required if proof is not None else None
+        if template is not None or proved is not None:
+            members[instance.instance_id] = (instance, template, proved)
 
     def instance_certificates(
         self, instance: QueryInstance, class_name: str

@@ -20,20 +20,28 @@ share a type — the common case for servlet-generated queries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import DatabaseError, ReproError
 from repro.sql import ast
-from repro.sql.analysis import all_conditions, alias_map, conjoin, has_left_join
+from repro.sql.analysis import (
+    all_conditions,
+    alias_map,
+    column_free,
+    has_left_join,
+    implied_equalities,
+)
 from repro.sql.params import Value, bind_expression
 from repro.sql.printer import to_sql
-from repro.db.expr import Scope, evaluate
+from repro.db.expr import Scope
 from repro.db.log import UpdateRecord
 from repro.core.invalidator.analysis import (
     IndependenceChecker,
     Verdict,
     VerdictKind,
-    _ValueSubstituter,
+    first_failing,
+    fold_constant,
+    polling_query,
 )
 from repro.core.invalidator.registration import QueryInstance, QueryType
 
@@ -84,6 +92,14 @@ class BindingAnalysis:
     #: The subset of ``local_templates`` with an index-probe shape,
     #: best-pruning kinds first (see :class:`IndexableConjunct`).
     indexable_templates: List[IndexableConjunct] = field(default_factory=list)
+    #: Equalities implied across inner-join equality chains
+    #: (:func:`~repro.sql.analysis.implied_equalities`).  Kept apart from
+    #: ``local_templates`` so the conflict matrix's certificates and the
+    #: version-key qualification see only what the query states.
+    implied_templates: List[ast.Expr] = field(default_factory=list)
+    #: What the predicate index may probe on: the indexable locals plus
+    #: the indexable implied equalities, best-pruning kinds first.
+    probe_templates: List[IndexableConjunct] = field(default_factory=list)
 
 
 @dataclass
@@ -138,22 +154,37 @@ class TypeAnalysis:
                     analysis.local_templates.append(condition)
                 elif placement == "residual":
                     analysis.residual_templates.append(condition)
+        left_join = has_left_join(template)
+        implied = {} if left_join else implied_equalities(conditions, aliases)
         for analysis in by_binding.values():
-            indexable = [
-                found
-                for condition in analysis.local_templates
-                for found in [cls._indexable(condition, analysis.binding)]
-                if found is not None
-            ]
-            indexable.sort(key=lambda c: _INDEX_KIND_RANK[c.kind])
-            analysis.indexable_templates = indexable
+            analysis.implied_templates = implied.get(analysis.binding, [])
+            analysis.indexable_templates = cls._ranked(
+                analysis.local_templates, analysis.binding
+            )
+            analysis.probe_templates = cls._ranked(
+                analysis.local_templates + analysis.implied_templates,
+                analysis.binding,
+            )
         return cls(
             aliases=aliases,
-            has_left_join=has_left_join(template),
+            has_left_join=left_join,
             constant_templates=constant_templates,
             by_binding=by_binding,
             all_tables=all_tables,
         )
+
+    @classmethod
+    def _ranked(
+        cls, conditions: List[ast.Expr], binding: str
+    ) -> List[IndexableConjunct]:
+        indexable = [
+            found
+            for condition in conditions
+            for found in [cls._indexable(condition, binding)]
+            if found is not None
+        ]
+        indexable.sort(key=lambda c: _INDEX_KIND_RANK[c.kind])
+        return indexable
 
     @classmethod
     def _indexable(
@@ -165,11 +196,11 @@ class TypeAnalysis:
             if condition.op is ast.BinaryOp.NE:
                 return None  # "everything but one value" prunes nothing
             column = cls._probe_column(condition.left, binding)
-            if column is not None and cls._column_free(condition.right):
+            if column is not None and column_free(condition.right):
                 op = condition.op
             else:
                 column = cls._probe_column(condition.right, binding)
-                if column is None or not cls._column_free(condition.left):
+                if column is None or not column_free(condition.left):
                     return None
                 op = ast.FLIPPED[condition.op]
             kind = "eq" if op is ast.BinaryOp.EQ else "range"
@@ -178,15 +209,15 @@ class TypeAnalysis:
             column = cls._probe_column(condition.expr, binding)
             if (
                 column is not None
-                and cls._column_free(condition.low)
-                and cls._column_free(condition.high)
+                and column_free(condition.low)
+                and column_free(condition.high)
             ):
                 return IndexableConjunct("range", column, condition)
             return None
         if isinstance(condition, ast.InList) and not condition.negated:
             column = cls._probe_column(condition.expr, binding)
             if column is not None and all(
-                cls._column_free(item) for item in condition.items
+                column_free(item) for item in condition.items
             ):
                 return IndexableConjunct("in", column, condition)
             return None
@@ -208,17 +239,6 @@ class TypeAnalysis:
         if expr.table is not None and expr.table.lower() != binding:
             return None
         return expr.column.lower()
-
-    @staticmethod
-    def _column_free(expr: ast.Expr) -> bool:
-        """True when ``expr`` references no columns (and no subqueries),
-        so binding the instance's parameters makes it a constant."""
-        return not any(
-            isinstance(
-                node, (ast.ColumnRef, ast.Exists, ast.InSelect, ast.ScalarSubquery)
-            )
-            for node in ast.walk(expr)
-        )
 
     @staticmethod
     def _placement(
@@ -278,8 +298,7 @@ class GroupedChecker:
         # Constant conditions apply query-wide: a provably false one means
         # the query is always empty, hence unaffected by anything.
         for template in analysis.constant_templates:
-            value = self._evaluate_constant(template, bindings)
-            if value is False:
+            if fold_constant(template, bindings) is False:
                 return Verdict(VerdictKind.UNAFFECTED, reason="constant-false condition")
 
         tuple_values = record.as_dict()
@@ -287,11 +306,16 @@ class GroupedChecker:
         for binding, binding_analysis in analysis.by_binding.items():
             if binding_analysis.base_table != record.table:
                 continue
-            locals_bound, residuals_bound = self._bound_conditions(
+            locals_bound, implied_bound, residuals_bound = self._bound_conditions(
                 instance, binding_analysis
             )
             verdict = self._check_binding(
-                analysis, binding_analysis, locals_bound, residuals_bound, tuple_values
+                analysis,
+                binding_analysis,
+                locals_bound,
+                implied_bound,
+                residuals_bound,
+                tuple_values,
             )
             overall = IndependenceChecker._combine(overall, verdict)
             if overall.kind is VerdictKind.AFFECTED:
@@ -300,8 +324,9 @@ class GroupedChecker:
 
     def _bound_conditions(
         self, instance: QueryInstance, binding_analysis: BindingAnalysis
-    ) -> Tuple[list, list]:
-        """Bind the instance's parameters into the templates, memoized."""
+    ) -> Tuple[list, list, Optional[list]]:
+        """Bind the instance's parameters into the templates, memoized:
+        (locals, implied equalities, residuals — None when unbindable)."""
         key = (instance.instance_id, binding_analysis.binding)
         cached = self._bound.get(key)
         if cached is not None:
@@ -311,51 +336,41 @@ class GroupedChecker:
                 bind_expression(template, instance.bindings)
                 for template in binding_analysis.local_templates
             ]
-            residuals_bound = [
+            residuals_bound: Optional[list] = [
                 bind_expression(template, instance.bindings)
                 for template in binding_analysis.residual_templates
             ]
         except (DatabaseError, ReproError):
-            locals_bound, residuals_bound = [], None  # None: unbindable
-        self._bound[key] = (locals_bound, residuals_bound)
-        return locals_bound, residuals_bound
+            locals_bound, residuals_bound = [], None
+        try:
+            implied_bound = [
+                bind_expression(template, instance.bindings)
+                for template in binding_analysis.implied_templates
+            ]
+        except (DatabaseError, ReproError):
+            implied_bound = []  # only ever prunes: dropping it is safe
+        cached = (locals_bound, implied_bound, residuals_bound)
+        self._bound[key] = cached
+        return cached
 
     # -- internals --------------------------------------------------------------
-
-    def _evaluate_constant(
-        self, template: ast.Expr, bindings: Tuple[Value, ...]
-    ) -> Optional[bool]:
-        try:
-            bound = bind_expression(template, bindings)
-            value = evaluate(bound, (), Scope([]))
-        except (DatabaseError, ReproError):
-            return None
-        if value is True:
-            return True
-        if value is False:
-            return False
-        return None
 
     def _check_binding(
         self,
         analysis: TypeAnalysis,
         binding_analysis: BindingAnalysis,
         locals_bound: list,
+        implied_bound: list,
         residuals_bound: Optional[list],
         tuple_values: Dict[str, Value],
     ) -> Verdict:
         scope = Scope([(binding_analysis.binding, list(tuple_values.keys()))])
-        row = tuple(tuple_values.values())
-        for condition in locals_bound:
-            try:
-                value = evaluate(condition, row, scope)
-            except (DatabaseError, ReproError):
-                continue  # cannot evaluate: do not use it to rule out
-            if value is not True:
-                return Verdict(
-                    VerdictKind.UNAFFECTED,
-                    reason=f"tuple fails local condition {to_sql(condition)}",
-                )
+        failed = first_failing(locals_bound + implied_bound, tuple_values, scope)
+        if failed is not None:
+            return Verdict(
+                VerdictKind.UNAFFECTED,
+                reason=f"tuple fails local condition {to_sql(failed)}",
+            )
 
         other_bindings = [
             name for name in analysis.aliases if name != binding_analysis.binding
@@ -365,33 +380,9 @@ class GroupedChecker:
 
         if residuals_bound is None:
             return Verdict(VerdictKind.AFFECTED, reason="unbindable residual")
-        substituter = _ValueSubstituter(
-            binding_analysis.binding, tuple_values, binding_analysis.base_table
+        polling = polling_query(
+            binding_analysis.binding, analysis.aliases, residuals_bound, tuple_values
         )
-        substituted: List[ast.Expr] = []
-        for bound in residuals_bound:
-            rewritten = substituter.rewrite(bound)
-            if substituter.failed:
-                return Verdict(VerdictKind.AFFECTED, reason="unsubstitutable residual")
-            for node in ast.walk(rewritten):
-                if isinstance(node, ast.ColumnRef) and node.table is not None:
-                    if node.table.lower() == binding_analysis.binding:
-                        return Verdict(
-                            VerdictKind.AFFECTED,
-                            reason="unsubstitutable residual",
-                        )
-            substituted.append(rewritten)
-        sources = tuple(
-            ast.TableRef(
-                analysis.aliases[name],
-                alias=name if name != analysis.aliases[name] else None,
-            )
-            for name in sorted(analysis.aliases)
-            if name != binding_analysis.binding
-        )
-        polling = ast.Select(
-            items=(ast.SelectItem(ast.FunctionCall("COUNT", (ast.Star(),))),),
-            sources=sources,
-            where=conjoin(substituted),
-        )
+        if polling is None:
+            return Verdict(VerdictKind.AFFECTED, reason="unsubstitutable residual")
         return Verdict(VerdictKind.NEEDS_POLLING, polling_query=polling)

@@ -54,26 +54,21 @@ from __future__ import annotations
 import time
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ReproError
-from repro.db.expr import Scope, evaluate
 from repro.db.log import UpdateRecord
 from repro.db.types import SortKey, Value, sql_compare
 from repro.sql import ast
 from repro.sql.params import bind_expression
-from repro.core.invalidator.grouping import IndexableConjunct, TypeAnalysis
+from repro.core.invalidator.analysis import UNEVALUABLE, fold_constant
+from repro.core.invalidator.grouping import GroupedChecker, IndexableConjunct, TypeAnalysis
 from repro.core.invalidator.registration import (
     QueryInstance,
-    QueryType,
-    QueryTypeRegistry,
     RegistryListener,
 )
 from repro.core.invalidator.safety import SafetyVerdict
 
-_EMPTY_SCOPE = Scope([])
-#: Sentinel distinguishing "evaluates to SQL NULL" from "cannot evaluate".
-_UNEVALUABLE = object()
 #: Sorts after every sequence number inside bisect boundary tuples.
 _SEQ_INF = float("inf")
 
@@ -93,11 +88,7 @@ class ProbeResult:
 
 @dataclass
 class _Entry:
-    """How one instance is represented in one table's index.
-
-    ``payload`` depends on ``mode``: hash keys for "hash", the interval
-    spec for "interval", the negated flag for "isnull", None otherwise.
-    """
+    """How one instance is represented in one table's index."""
 
     instance: QueryInstance
     #: "hash" | "interval" | "isnull" | "residual" | "never" | "static"
@@ -105,8 +96,8 @@ class _Entry:
     #: every possible record of the table — like "never", the entry is
     #: pruned by every probe and exists only for accounting).
     mode: str
-    column: Optional[str] = None
-    payload: object = None
+    #: The folded probe for "hash" / "interval" / "isnull" entries.
+    probe: Optional["Probe"] = None
 
 
 class _HashColumn:
@@ -162,6 +153,100 @@ class _NullColumn:
 
 #: Interval spec: (low, low_incl, high, high_incl, has_low, has_high).
 _IntervalSpec = Tuple[Value, bool, Value, bool, bool, bool]
+
+#: A folded probe: ("hash", column, values) | ("interval", column, spec) |
+#: ("isnull", column, negated).
+Probe = Tuple[str, str, object]
+
+
+def fold_probe(
+    conjuncts: Sequence[IndexableConjunct], bindings: Tuple[Value, ...]
+) -> Optional[Probe]:
+    """Fold the best-ranked foldable conjunct into a probe structure.
+
+    ``conjuncts`` come best-pruning kind first.  Equality and IN-lists
+    become hash keys; a range conjunct becomes an interval, intersected
+    with every other foldable range on the same column, so ``price >= ?
+    AND price < ?`` probes as one bounded interval rather than a half
+    line.  None when nothing folds to constants.  Shared by the
+    predicate index (check-time candidates) and the version-key index
+    (bump-time candidates), which must honour the same soundness cases.
+    """
+    for position, conjunct in enumerate(conjuncts):
+        folded = _fold_one(conjunct, bindings)
+        if folded is None:
+            continue
+        if folded[0] != "interval":
+            return folded
+        spec = folded[2]
+        for other in conjuncts[position + 1 :]:
+            if other.kind == "range" and other.column == conjunct.column:
+                more = _fold_one(other, bindings)
+                if more is not None:
+                    spec = _intersect(spec, more[2])
+        return ("interval", conjunct.column, spec)
+    return None
+
+
+def _fold_one(conjunct: IndexableConjunct, bindings: Tuple[Value, ...]) -> Optional[Probe]:
+    template = conjunct.template
+    if conjunct.kind == "isnull":
+        return ("isnull", conjunct.column, conjunct.negated)
+    if conjunct.kind == "in":
+        values = []
+        for item in template.items:
+            value = fold_constant(item, bindings)
+            if value is UNEVALUABLE:
+                return None
+            values.append(value)
+        return ("hash", conjunct.column, tuple(values))
+    if isinstance(template, ast.Between):
+        low = fold_constant(template.low, bindings)
+        high = fold_constant(template.high, bindings)
+        if low is UNEVALUABLE or high is UNEVALUABLE:
+            return None
+        return ("interval", conjunct.column, (low, True, high, True, True, True))
+    # Binary comparison; conjunct.op is normalized (column on the left),
+    # but the template keeps its original orientation.
+    left_is_column = isinstance(template.left, ast.ColumnRef)
+    bound = fold_constant(template.right if left_is_column else template.left, bindings)
+    if bound is UNEVALUABLE:
+        return None
+    if conjunct.kind == "eq":
+        return ("hash", conjunct.column, (bound,))
+    op = conjunct.op
+    if op is ast.BinaryOp.LT:
+        spec = (None, False, bound, False, False, True)
+    elif op is ast.BinaryOp.LE:
+        spec = (None, False, bound, True, False, True)
+    elif op is ast.BinaryOp.GT:
+        spec = (bound, False, None, False, True, False)
+    else:  # GE
+        spec = (bound, True, None, False, True, False)
+    return ("interval", conjunct.column, spec)
+
+
+def _intersect(a: _IntervalSpec, b: _IntervalSpec) -> _IntervalSpec:
+    """The interval both specs admit.  A NULL bound on either side can
+    never compare TRUE, so it survives (the entry stays unreachable)."""
+    low, low_incl, has_low = _tighter(a[0], a[1], a[4], b[0], b[1], b[4], 1)
+    high, high_incl, has_high = _tighter(a[2], a[3], a[5], b[2], b[3], b[5], -1)
+    return (low, low_incl, high, high_incl, has_low, has_high)
+
+
+def _tighter(value_a, incl_a, has_a, value_b, incl_b, has_b, direction):
+    """The tighter of two bounds: the larger low (direction 1) or the
+    smaller high (direction -1); on a tie, strict beats inclusive."""
+    if not has_b:
+        return value_a, incl_a, has_a
+    if not has_a:
+        return value_b, incl_b, has_b
+    if value_a is None or value_b is None:
+        return None, False, True
+    order = sql_compare(value_a, value_b)
+    if order == 0:
+        return value_a, incl_a and incl_b, True
+    return (value_a, incl_a, True) if order == direction else (value_b, incl_b, True)
 
 
 class _IntervalColumn:
@@ -242,30 +327,90 @@ class _IntervalColumn:
                 out[iid] = self.members[iid]
 
 
-class _TableIndex:
-    """All index structures for one base table."""
+class _ProbeStructures:
+    """Hash, interval and IS [NOT] NULL structures over one table, plus
+    the members every probe returns.  Members are anything keyed by an
+    ``instance_id`` attribute: query instances here, version keys in
+    :mod:`~repro.core.invalidator.versionkey`, which must honour the same
+    missing-column / NULL-value soundness cases at bump time."""
 
-    __slots__ = (
-        "entries",
-        "by_type",
-        "residuals",
-        "static_ids",
-        "hash_cols",
-        "interval_cols",
-        "null_cols",
-    )
+    __slots__ = ("always", "hash_cols", "interval_cols", "null_cols")
 
     def __init__(self) -> None:
+        self.always: Dict[int, object] = {}
+        self.hash_cols: Dict[str, _HashColumn] = {}
+        self.interval_cols: Dict[str, _IntervalColumn] = {}
+        self.null_cols: Dict[str, _NullColumn] = {}
+
+    def place(self, member, probe: Optional["Probe"]) -> None:
+        """Index ``member`` under its folded probe (None: always)."""
+        if probe is None:
+            self.always[member.instance_id] = member
+            return
+        mode, column, payload = probe
+        if mode == "hash":
+            self.hash_cols.setdefault(column, _HashColumn()).add(member, payload)
+        elif mode == "interval":
+            self.interval_cols.setdefault(column, _IntervalColumn()).add(member, payload)
+        else:
+            self.null_cols.setdefault(column, _NullColumn()).add(member, payload)
+
+    def unplace(self, member_id: int, probe: Optional["Probe"]) -> None:
+        if probe is None:
+            self.always.pop(member_id, None)
+            return
+        mode, column, _payload = probe
+        structures = {
+            "hash": self.hash_cols,
+            "interval": self.interval_cols,
+            "isnull": self.null_cols,
+        }[mode]
+        structure = structures.get(column)
+        if structure is not None:
+            structure.remove(member_id)
+
+    def candidates(self, tuple_values: Dict[str, Value]) -> Dict[int, object]:
+        """Every member the changed tuple may satisfy."""
+        found = dict(self.always)
+        for column, hash_column in self.hash_cols.items():
+            if column not in tuple_values:
+                found.update(hash_column.members)
+                continue
+            value = tuple_values[column]
+            if value is None:
+                continue  # NULL equals nothing: every entry pruned
+            bucket = hash_column.by_value.get(value)
+            if bucket:
+                found.update(bucket)
+        for column, interval_column in self.interval_cols.items():
+            if column not in tuple_values:
+                found.update(interval_column.members)
+                continue
+            value = tuple_values[column]
+            if value is None:
+                continue  # NULL is inside no interval
+            interval_column.probe_into(value, found)
+        for column, null_column in self.null_cols.items():
+            if column not in tuple_values:
+                found.update(null_column.members)
+            elif tuple_values[column] is None:
+                found.update(null_column.null_entries)
+            else:
+                found.update(null_column.notnull_entries)
+        return found
+
+
+class _TableIndex(_ProbeStructures):
+    """All index structures for one base table."""
+
+    __slots__ = ("entries", "by_type")
+
+    def __init__(self) -> None:
+        super().__init__()
         self.entries: Dict[int, _Entry] = {}
         #: type_id → [QueryType, live instance count] — lets callers
         #: account for pruned pairs per type without touching instances.
         self.by_type: Dict[int, list] = {}
-        self.residuals: Dict[int, QueryInstance] = {}
-        #: Instance ids parked by a conflict-matrix whole-table proof.
-        self.static_ids: Set[int] = set()
-        self.hash_cols: Dict[str, _HashColumn] = {}
-        self.interval_cols: Dict[str, _IntervalColumn] = {}
-        self.null_cols: Dict[str, _NullColumn] = {}
 
     def add(self, entry: _Entry) -> None:
         instance = entry.instance
@@ -274,24 +419,10 @@ class _TableIndex:
             instance.query_type.type_id, [instance.query_type, 0]
         )
         tally[1] += 1
-        if entry.mode == "residual":
-            self.residuals[instance.instance_id] = instance
-        elif entry.mode == "hash":
-            self.hash_cols.setdefault(entry.column, _HashColumn()).add(
-                instance, entry.payload
-            )
-        elif entry.mode == "interval":
-            self.interval_cols.setdefault(entry.column, _IntervalColumn()).add(
-                instance, entry.payload
-            )
-        elif entry.mode == "isnull":
-            self.null_cols.setdefault(entry.column, _NullColumn()).add(
-                instance, entry.payload
-            )
-        elif entry.mode == "static":
-            self.static_ids.add(instance.instance_id)
-        # "never"/"static" entries live only in entries/by_type (plus the
-        # static id set): always pruned.
+        # "never"/"static" entries live only in entries/by_type: always
+        # pruned.
+        if entry.mode == "residual" or entry.probe is not None:
+            self.place(instance, entry.probe)
 
     def remove(self, instance_id: int) -> Optional[_Entry]:
         entry = self.entries.pop(instance_id, None)
@@ -303,17 +434,17 @@ class _TableIndex:
             tally[1] -= 1
             if tally[1] <= 0:
                 del self.by_type[type_id]
-        if entry.mode == "residual":
-            self.residuals.pop(instance_id, None)
-        elif entry.mode == "hash":
-            self.hash_cols[entry.column].remove(instance_id)
-        elif entry.mode == "interval":
-            self.interval_cols[entry.column].remove(instance_id)
-        elif entry.mode == "isnull":
-            self.null_cols[entry.column].remove(instance_id)
-        elif entry.mode == "static":
-            self.static_ids.discard(instance_id)
+        if entry.mode == "residual" or entry.probe is not None:
+            self.unplace(instance_id, entry.probe)
         return entry
+
+
+#: Live composition counters, per (instance, table) entry.
+_COMPOSITION = ("indexed", "residual", "never", "static")
+
+
+def _composition_of(entry: _Entry) -> str:
+    return entry.mode if entry.mode in _COMPOSITION else "indexed"
 
 
 class PredicateIndex(RegistryListener):
@@ -333,14 +464,9 @@ class PredicateIndex(RegistryListener):
 
     def __init__(self, analysis_for=None, conflict=None) -> None:
         self._tables: Dict[str, _TableIndex] = {}
-        self._analyses: Dict[int, TypeAnalysis] = {}
-        self._analysis_for = analysis_for or self._own_analysis
+        self._analysis_for = analysis_for or GroupedChecker().analysis_for
         self._conflict = conflict
-        # Live composition counters, per (instance, table) entry.
-        self.entries_indexed = 0
-        self.entries_residual = 0
-        self.entries_never = 0
-        self.entries_static = 0
+        self._composition: Dict[str, int] = dict.fromkeys(_COMPOSITION, 0)
         # Probe counters.
         self.probes = 0
         self.probe_seconds = 0.0
@@ -349,26 +475,12 @@ class PredicateIndex(RegistryListener):
 
     # -- registry listener protocol ------------------------------------------
 
-    def attach_to(self, registry: QueryTypeRegistry) -> "PredicateIndex":
-        """Subscribe to ``registry`` and index its existing instances."""
-        registry.add_listener(self)
-        for instance in registry.instances():
-            self.instance_registered(instance)
-        return self
-
     def instance_registered(self, instance: QueryInstance) -> None:
         analysis = self._analysis_for(instance.query_type)
         for table in instance.query_type.tables:
             entry = self._classify(instance, analysis, table)
             self._tables.setdefault(table, _TableIndex()).add(entry)
-            if entry.mode == "residual":
-                self.entries_residual += 1
-            elif entry.mode == "never":
-                self.entries_never += 1
-            elif entry.mode == "static":
-                self.entries_static += 1
-            else:
-                self.entries_indexed += 1
+            self._composition[_composition_of(entry)] += 1
 
     def instance_dropped(self, instance: QueryInstance) -> None:
         for table in instance.query_type.tables:
@@ -376,16 +488,8 @@ class PredicateIndex(RegistryListener):
             if table_index is None:
                 continue
             entry = table_index.remove(instance.instance_id)
-            if entry is None:
-                continue
-            if entry.mode == "residual":
-                self.entries_residual -= 1
-            elif entry.mode == "never":
-                self.entries_never -= 1
-            elif entry.mode == "static":
-                self.entries_static -= 1
-            else:
-                self.entries_indexed -= 1
+            if entry is not None:
+                self._composition[_composition_of(entry)] -= 1
 
     # -- probing --------------------------------------------------------------
 
@@ -401,33 +505,7 @@ class PredicateIndex(RegistryListener):
             self.probes += 1
             self.probe_seconds += time.perf_counter() - started
             return ProbeResult(table, [], set(), 0)
-        tuple_values = record.as_dict()
-        found: Dict[int, QueryInstance] = dict(table_index.residuals)
-        for column, hash_column in table_index.hash_cols.items():
-            if column not in tuple_values:
-                found.update(hash_column.members)
-                continue
-            value = tuple_values[column]
-            if value is None:
-                continue  # NULL equals nothing: every entry pruned
-            bucket = hash_column.by_value.get(value)
-            if bucket:
-                found.update(bucket)
-        for column, interval_column in table_index.interval_cols.items():
-            if column not in tuple_values:
-                found.update(interval_column.members)
-                continue
-            value = tuple_values[column]
-            if value is None:
-                continue  # NULL is inside no interval
-            interval_column.probe_into(value, found)
-        for column, null_column in table_index.null_cols.items():
-            if column not in tuple_values:
-                found.update(null_column.members)
-            elif tuple_values[column] is None:
-                found.update(null_column.null_entries)
-            else:
-                found.update(null_column.notnull_entries)
+        found = table_index.candidates(record.as_dict())
         candidates = sorted(found.values(), key=lambda i: i.instance_id)
         pruned = len(table_index.entries) - len(candidates)
         self.probes += 1
@@ -441,11 +519,6 @@ class PredicateIndex(RegistryListener):
         table_index = self._tables.get(table.lower())
         return table_index.by_type if table_index is not None else {}
 
-    def statically_dropped_ids(self, table: str) -> Set[int]:
-        """Instance ids parked by conflict-matrix whole-table proofs."""
-        table_index = self._tables.get(table.lower())
-        return table_index.static_ids if table_index is not None else set()
-
     def registered(self, table: str) -> int:
         """Live instance count currently indexed under ``table``."""
         table_index = self._tables.get(table.lower())
@@ -454,10 +527,7 @@ class PredicateIndex(RegistryListener):
     def stats(self) -> Dict[str, object]:
         return {
             "tables": len(self._tables),
-            "entries_indexed": self.entries_indexed,
-            "entries_residual": self.entries_residual,
-            "entries_never": self.entries_never,
-            "entries_static": self.entries_static,
+            **{f"entries_{kind}": count for kind, count in self._composition.items()},
             "probes": self.probes,
             "probe_time_ms": round(1000.0 * self.probe_seconds, 3),
             "candidates_returned": self.candidates_returned,
@@ -465,13 +535,6 @@ class PredicateIndex(RegistryListener):
         }
 
     # -- classification --------------------------------------------------------
-
-    def _own_analysis(self, query_type: QueryType) -> TypeAnalysis:
-        analysis = self._analyses.get(query_type.type_id)
-        if analysis is None:
-            analysis = TypeAnalysis.of(query_type)
-            self._analyses[query_type.type_id] = analysis
-        return analysis
 
     def _classify(
         self, instance: QueryInstance, analysis: TypeAnalysis, table: str
@@ -514,7 +577,7 @@ class PredicateIndex(RegistryListener):
         except ReproError:
             return _Entry(instance, "residual")
         for template in analysis.constant_templates:
-            if self._constant(template, instance.bindings) is False:
+            if fold_constant(template, instance.bindings) is False:
                 return _Entry(instance, "never")
         if self._conflict is not None and self._conflict.index_drop(
             instance, table
@@ -523,60 +586,7 @@ class PredicateIndex(RegistryListener):
             # every record the table can ever log: no probe structure
             # needed, the entry only participates in bulk accounting.
             return _Entry(instance, "static")
-        for conjunct in binding_analysis.indexable_templates:
-            entry = self._build_entry(instance, conjunct)
-            if entry is not None:
-                return entry
-        return _Entry(instance, "residual")
-
-    def _build_entry(
-        self, instance: QueryInstance, conjunct: IndexableConjunct
-    ) -> Optional[_Entry]:
-        """Fold the conjunct's bound value side(s) into an index entry, or
-        None when the values do not reduce to constants."""
-        template = conjunct.template
-        if conjunct.kind == "isnull":
-            return _Entry(instance, "isnull", conjunct.column, conjunct.negated)
-        if conjunct.kind == "in":
-            keys = []
-            for item in template.items:
-                value = self._constant(item, instance.bindings)
-                if value is _UNEVALUABLE:
-                    return None
-                keys.append(value)
-            return _Entry(instance, "hash", conjunct.column, tuple(keys))
-        if isinstance(template, ast.Between):
-            low = self._constant(template.low, instance.bindings)
-            high = self._constant(template.high, instance.bindings)
-            if low is _UNEVALUABLE or high is _UNEVALUABLE:
-                return None
-            spec = (low, True, high, True, True, True)
-            return _Entry(instance, "interval", conjunct.column, spec)
-        # Binary comparison; conjunct.op is normalized (column on the left),
-        # but the template keeps its original orientation.
-        left_is_column = isinstance(template.left, ast.ColumnRef)
-        value_side = template.right if left_is_column else template.left
-        bound = self._constant(value_side, instance.bindings)
-        if bound is _UNEVALUABLE:
-            return None
-        if conjunct.kind == "eq":
-            return _Entry(instance, "hash", conjunct.column, (bound,))
-        op = conjunct.op
-        if op is ast.BinaryOp.LT:
-            spec = (None, False, bound, False, False, True)
-        elif op is ast.BinaryOp.LE:
-            spec = (None, False, bound, True, False, True)
-        elif op is ast.BinaryOp.GT:
-            spec = (bound, False, None, False, True, False)
-        else:  # GE
-            spec = (bound, True, None, False, True, False)
-        return _Entry(instance, "interval", conjunct.column, spec)
-
-    def _constant(self, expr: ast.Expr, bindings: Tuple[Value, ...]):
-        """Bind and fold a column-free expression to a constant, or
-        :data:`_UNEVALUABLE` (mirrors the checker's skip-on-error)."""
-        try:
-            bound = bind_expression(expr, bindings)
-            return evaluate(bound, (), _EMPTY_SCOPE)
-        except ReproError:
-            return _UNEVALUABLE
+        folded = fold_probe(binding_analysis.probe_templates, instance.bindings)
+        if folded is None:
+            return _Entry(instance, "residual")
+        return _Entry(instance, folded[0], folded)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple, TypeVar
 
 from repro.errors import RegistrationError
 from repro.sql import ast
@@ -87,6 +87,10 @@ class QueryType:
     #: consulted per (instance, update) pair by both invalidation paths.
     safety: Optional[SafetyClassification] = None
 
+    #: Live instances of this type, maintained by the registry so
+    #: per-verdict instance counts never walk the instances.
+    live_instances: int = 0
+
 
 @dataclass
 class QueryInstance:
@@ -116,6 +120,9 @@ class QueryInstance:
     version_stamp_lsn: Optional[int] = None
 
 
+_Listener = TypeVar("_Listener", bound="RegistryListener")
+
+
 class RegistryListener:
     """Observer for instance lifecycle events.
 
@@ -129,6 +136,13 @@ class RegistryListener:
 
     def instance_dropped(self, instance: QueryInstance) -> None:
         """An instance lost its last dependent URL and was removed."""
+
+    def attach_to(self: _Listener, registry: "QueryTypeRegistry") -> _Listener:
+        """Subscribe to ``registry`` and absorb its existing instances."""
+        registry.add_listener(self)
+        for instance in registry.instances():
+            self.instance_registered(instance)
+        return self
 
 
 class QueryTypeRegistry:
@@ -223,6 +237,7 @@ class QueryTypeRegistry:
             canonical = parameterize(statement)
             query_type = self._ensure_type(canonical.template, canonical.signature)
             query_type.stats.instances_seen += 1
+            query_type.live_instances += 1
             instance = QueryInstance(
                 instance_id=next(self._instance_ids),
                 query_type=query_type,
@@ -247,6 +262,10 @@ class QueryTypeRegistry:
             self._instances_by_sql.values(), key=lambda i: i.instance_id
         )
 
+    def urls(self) -> List[str]:
+        """Every watched page URL, sorted."""
+        return sorted(self._instances_by_url)
+
     def instances_touching(self, table: str) -> List[QueryInstance]:
         """Live instances whose type references ``table``, in
         registration order (== ascending instance id)."""
@@ -267,6 +286,7 @@ class QueryTypeRegistry:
             instance.urls.discard(url_key)
             if not instance.urls:
                 del self._instances_by_sql[sql]
+                instance.query_type.live_instances -= 1
                 for table in instance.query_type.tables:
                     table_map = self._instances_by_table.get(table)
                     if table_map is not None:

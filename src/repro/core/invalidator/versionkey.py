@@ -52,34 +52,24 @@ from __future__ import annotations
 
 import itertools
 import threading
+from bisect import bisect_left, insort
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ReproError
-from repro.db.expr import Scope, evaluate
+from repro.db.expr import Scope
 from repro.db.log import UpdateRecord
 from repro.sql import ast
 from repro.sql.params import bind_expression
 from repro.sql.printer import to_sql
-from repro.core.invalidator.grouping import (
-    BindingAnalysis,
-    IndexableConjunct,
-    TypeAnalysis,
-)
+from repro.core.invalidator.analysis import first_failing, fold_constant
+from repro.core.invalidator.grouping import GroupedChecker, TypeAnalysis
 # The probe structures are shared with the predicate index on purpose:
 # candidate discovery at bump time must honour exactly the same
 # missing-column / NULL-value soundness cases as candidate discovery at
 # check time, so the same implementation serves both.
-from repro.core.invalidator.predindex import (
-    _EMPTY_SCOPE,
-    _UNEVALUABLE,
-    _HashColumn,
-    _IntervalColumn,
-    _NullColumn,
-)
+from repro.core.invalidator.predindex import _ProbeStructures, fold_probe
 from repro.core.invalidator.registration import (
     QueryInstance,
-    QueryType,
-    QueryTypeRegistry,
     RegistryListener,
 )
 from repro.core.invalidator.safety import (
@@ -189,78 +179,24 @@ class _Key:
         self.refs: Set[int] = set()
 
 
-class _TableKeys:
-    """Bump-time probe structures for one base table's keys."""
+class _TableKeys(_ProbeStructures):
+    """Bump-time probe structures for one base table's keys.  A key with
+    no foldable probe conjunct is a candidate for every record of the
+    table (evaluation still decides the bump)."""
 
-    __slots__ = ("members", "hash_cols", "interval_cols", "null_cols", "unprobed")
+    __slots__ = ("members",)
 
     def __init__(self) -> None:
+        super().__init__()
         self.members: Dict[int, _Key] = {}
-        self.hash_cols: Dict[str, _HashColumn] = {}
-        self.interval_cols: Dict[str, _IntervalColumn] = {}
-        self.null_cols: Dict[str, _NullColumn] = {}
-        #: Keys with no foldable probe conjunct: candidates for every
-        #: record of the table (evaluation still decides the bump).
-        self.unprobed: Dict[int, _Key] = {}
 
     def add(self, key: _Key) -> None:
         self.members[key.instance_id] = key
-        if key.probe is None:
-            self.unprobed[key.instance_id] = key
-            return
-        mode, column, payload = key.probe
-        if mode == "hash":
-            self.hash_cols.setdefault(column, _HashColumn()).add(key, payload)
-        elif mode == "interval":
-            self.interval_cols.setdefault(column, _IntervalColumn()).add(key, payload)
-        else:  # isnull
-            self.null_cols.setdefault(column, _NullColumn()).add(key, payload)
+        self.place(key, key.probe)
 
     def remove(self, key: _Key) -> None:
         self.members.pop(key.instance_id, None)
-        if key.probe is None:
-            self.unprobed.pop(key.instance_id, None)
-            return
-        mode, column, _payload = key.probe
-        if mode == "hash":
-            structure = self.hash_cols.get(column)
-        elif mode == "interval":
-            structure = self.interval_cols.get(column)
-        else:
-            structure = self.null_cols.get(column)
-        if structure is not None:
-            structure.remove(key.instance_id)
-
-    def candidates(self, tuple_values: Dict) -> Dict[int, _Key]:
-        """Keys the changed tuple could possibly bump (soundness cases
-        identical to :meth:`PredicateIndex.probe`)."""
-        found: Dict[int, _Key] = dict(self.unprobed)
-        for column, hash_column in self.hash_cols.items():
-            if column not in tuple_values:
-                found.update(hash_column.members)
-                continue
-            value = tuple_values[column]
-            if value is None:
-                continue  # NULL equals nothing
-            bucket = hash_column.by_value.get(value)
-            if bucket:
-                found.update(bucket)
-        for column, interval_column in self.interval_cols.items():
-            if column not in tuple_values:
-                found.update(interval_column.members)
-                continue
-            value = tuple_values[column]
-            if value is None:
-                continue  # NULL is inside no interval
-            interval_column.probe_into(value, found)
-        for column, null_column in self.null_cols.items():
-            if column not in tuple_values:
-                found.update(null_column.members)
-            elif tuple_values[column] is None:
-                found.update(null_column.null_entries)
-            else:
-                found.update(null_column.notnull_entries)
-        return found
+        self.unplace(key.instance_id, key.probe)
 
 
 class VersionKeyIndex(RegistryListener):
@@ -277,8 +213,7 @@ class VersionKeyIndex(RegistryListener):
 
     def __init__(self, analysis_for=None, stamp_source=None) -> None:
         self._lock = threading.RLock()
-        self._analyses: Dict[int, TypeAnalysis] = {}
-        self._analysis_for = analysis_for or self._own_analysis
+        self._analysis_for = analysis_for or GroupedChecker().analysis_for
         self._stamp_source = stamp_source
         self._key_ids = itertools.count(1)
         self._keys: Dict[str, _Key] = {}
@@ -286,6 +221,7 @@ class VersionKeyIndex(RegistryListener):
         #: Instances whose bound WHERE is provably constant-false: no
         #: update can ever affect them, so they are fresh forever.
         self._never: Set[int] = set()
+        self._never_by_table: Dict[str, Set[int]] = {}
         self._tables: Dict[str, _TableKeys] = {}
         #: Highest observed LSN per table: the coarse counter.  It gates
         #: every precise answer — a record above it was never observed,
@@ -299,6 +235,18 @@ class VersionKeyIndex(RegistryListener):
         self._truncation_floor = 0
         if stamp_source is not None:
             self._floor = int(stamp_source())
+        # The exception sets behind :meth:`refusals`, kept current on
+        # register, drop, bump and floor change so that the bulk answer
+        # never walks the instances fresh() would vouch for.
+        #: Keyed and unkeyed (not constant-false) instances.
+        self._tracked: Dict[int, QueryInstance] = {}
+        #: table → ids fresh() refuses for every record: unkeyed,
+        #: unstamped, stamped below the floor, or key bumped past stamp.
+        self._unvouched: Dict[str, Set[int]] = {}
+        #: table → sorted (stamp, id) of stamped keyed instances: fresh()
+        #: also refuses records at or below an instance's stamp.
+        self._stamps: Dict[str, List[Tuple[int, int]]] = {}
+        self._stamp_entry: Dict[int, Tuple[str, Tuple[int, int]]] = {}
         # Observability counters.
         self.records_observed = 0
         self.keys_bumped = 0
@@ -307,12 +255,6 @@ class VersionKeyIndex(RegistryListener):
         self.instances_unkeyed = 0
 
     # -- registry listener protocol -------------------------------------------
-
-    def attach_to(self, registry: QueryTypeRegistry) -> "VersionKeyIndex":
-        registry.add_listener(self)
-        for instance in registry.instances():
-            self.instance_registered(instance)
-        return self
 
     def instance_registered(self, instance: QueryInstance) -> None:
         classification = instance.query_type.safety
@@ -328,9 +270,14 @@ class VersionKeyIndex(RegistryListener):
             built = self._build_key_parts(instance, analysis)
             if built == "never":
                 self._never.add(instance.instance_id)
+                for table in instance.query_type.tables:
+                    self._never_by_table.setdefault(table, set()).add(
+                        instance.instance_id
+                    )
                 return
             if built is None:
                 self.instances_unkeyed += 1
+                self._track(instance)
                 return
             canonical, table, binding, conjuncts, probe = built
             key = self._keys.get(canonical)
@@ -342,14 +289,20 @@ class VersionKeyIndex(RegistryListener):
                 self._tables.setdefault(table, _TableKeys()).add(key)
             key.refs.add(instance.instance_id)
             self._key_of[instance.instance_id] = key
+            self._track(instance)
 
     def instance_dropped(self, instance: QueryInstance) -> None:
         with self._lock:
-            self._never.discard(instance.instance_id)
-            key = self._key_of.pop(instance.instance_id, None)
+            iid = instance.instance_id
+            if iid in self._never:
+                self._never.discard(iid)
+                for table in instance.query_type.tables:
+                    self._never_by_table.get(table, set()).discard(iid)
+            self._untrack(instance)
+            key = self._key_of.pop(iid, None)
             if key is None:
                 return
-            key.refs.discard(instance.instance_id)
+            key.refs.discard(iid)
             if key.refs:
                 return
             del self._keys[key.canonical]
@@ -384,6 +337,12 @@ class VersionKeyIndex(RegistryListener):
                     if self._matches(key, tuple_values):
                         key.last_bump_lsn = record.lsn
                         bumped += 1
+                        # Refs stamped below the bump are no longer
+                        # vouchable: O(refs of the bumped key).
+                        for iid in key.refs:
+                            entry = self._stamp_entry.get(iid)
+                            if entry is not None and entry[1][0] < record.lsn:
+                                self._unvouched.setdefault(table, set()).add(iid)
             self.records_observed += len(records)
             self.keys_bumped += bumped
         return bumped
@@ -395,6 +354,7 @@ class VersionKeyIndex(RegistryListener):
         with self._lock:
             self._truncation_floor = max(self._truncation_floor, int(floor_lsn))
             self._floor = max(self._floor, int(floor_lsn))
+            self._rebuild_exceptions()
 
     # -- the O(1) check --------------------------------------------------------
 
@@ -429,6 +389,79 @@ class VersionKeyIndex(RegistryListener):
                 return True
             return False
 
+    def refusals(self, table: str, record: UpdateRecord) -> Tuple[bool, Set[int]]:
+        """:meth:`fresh` in bulk over every version-keyed instance of
+        ``table`` for one observed record, without visiting them.
+
+        Returns ``(vouched, exceptions)``: when ``vouched`` is True,
+        fresh() holds for every such instance except the ids in
+        ``exceptions``; when False (the record was never observed), it
+        holds for none except the constant-false ids in ``exceptions``.
+        Cost is the size of the exception sets, not of the table.
+        """
+        table = table.lower()
+        with self._lock:
+            if self._coarse.get(table, -1) < record.lsn:
+                return False, set(self._never_by_table.get(table, ()))
+            refused = set(self._unvouched.get(table, ()))
+            stamps = self._stamps.get(table)
+            if stamps:
+                start = bisect_left(stamps, (record.lsn, -1))
+                refused.update(iid for _stamp, iid in stamps[start:])
+            return True, refused
+
+    def count_bulk(self, checks: int, fresh_hits: int) -> None:
+        """Account counter checks a consumer resolved through
+        :meth:`refusals` rather than pair by pair."""
+        with self._lock:
+            self.checks += checks
+            self.fresh_hits += fresh_hits
+
+    # -- exception sets ----------------------------------------------------------
+
+    def _track(self, instance: QueryInstance) -> None:
+        iid = instance.instance_id
+        key = self._key_of.get(iid)
+        tables = [key.table] if key is not None else instance.query_type.tables
+        self._tracked[iid] = instance
+        stamp = instance.version_stamp_lsn
+        if key is not None and stamp is not None:
+            entry = (int(stamp), iid)
+            insort(self._stamps.setdefault(key.table, []), entry)
+            self._stamp_entry[iid] = (key.table, entry)
+        if (
+            key is None
+            or stamp is None
+            or stamp < self._floor
+            or key.last_bump_lsn > stamp
+        ):
+            for table in tables:
+                self._unvouched.setdefault(table, set()).add(iid)
+
+    def _untrack(self, instance: QueryInstance) -> None:
+        iid = instance.instance_id
+        if self._tracked.pop(iid, None) is None:
+            return
+        for table in instance.query_type.tables:
+            self._unvouched.get(table, set()).discard(iid)
+        placed = self._stamp_entry.pop(iid, None)
+        if placed is not None:
+            stamps = self._stamps[placed[0]]
+            position = bisect_left(stamps, placed[1])
+            if position < len(stamps) and stamps[position] == placed[1]:
+                del stamps[position]
+
+    def _rebuild_exceptions(self) -> None:
+        """Recompute every exception set (floor changes and restores
+        move stamps or counters wholesale; both are rare)."""
+        tracked = list(self._tracked.values())
+        self._tracked.clear()
+        self._unvouched.clear()
+        self._stamps.clear()
+        self._stamp_entry.clear()
+        for instance in tracked:
+            self._track(instance)
+
     # -- checkpointing ---------------------------------------------------------
 
     def snapshot_state(self) -> Dict:
@@ -457,6 +490,7 @@ class VersionKeyIndex(RegistryListener):
                 self._floor = max(self._floor, int(fallback_floor))
                 for key in self._keys.values():
                     key.last_bump_lsn = max(key.last_bump_lsn, int(fallback_floor))
+                self._rebuild_exceptions()
                 return 0
             # The snapshot's floor *replaces* the construction-time one:
             # its counters cover everything from that floor through the
@@ -481,6 +515,7 @@ class VersionKeyIndex(RegistryListener):
                     # Unknown to the snapshot: assume bumped through the
                     # checkpoint so only post-restore quiet can vouch.
                     key.last_bump_lsn = max(key.last_bump_lsn, int(fallback_floor))
+            self._rebuild_exceptions()
             return restored
 
     def stats(self) -> Dict[str, int]:
@@ -500,13 +535,6 @@ class VersionKeyIndex(RegistryListener):
 
     # -- key construction ------------------------------------------------------
 
-    def _own_analysis(self, query_type: QueryType) -> TypeAnalysis:
-        analysis = self._analyses.get(query_type.type_id)
-        if analysis is None:
-            analysis = TypeAnalysis.of(query_type)
-            self._analyses[query_type.type_id] = analysis
-        return analysis
-
     def _build_key_parts(self, instance: QueryInstance, analysis: TypeAnalysis):
         """Fold one instance into key parts.
 
@@ -519,7 +547,7 @@ class VersionKeyIndex(RegistryListener):
             return None  # defensive: verdicts and analyses agree in practice
         binding_analysis = next(iter(analysis.by_binding.values()))
         for template in analysis.constant_templates:
-            if self._constant(template, instance.bindings) is False:
+            if fold_constant(template, instance.bindings) is False:
                 return "never"
         try:
             conjuncts = [
@@ -530,7 +558,7 @@ class VersionKeyIndex(RegistryListener):
             # Unbindable: the checker treats every touching record as
             # AFFECTED, and so must we — no counter can prove otherwise.
             return None
-        probe = self._fold_probe(binding_analysis, instance.bindings)
+        probe = fold_probe(binding_analysis.indexable_templates, instance.bindings)
         canonical = "{}|{}".format(
             binding_analysis.base_table,
             " AND ".join(sorted(to_sql(conjunct) for conjunct in conjuncts)),
@@ -543,74 +571,9 @@ class VersionKeyIndex(RegistryListener):
             probe,
         )
 
-    def _fold_probe(
-        self, binding_analysis: BindingAnalysis, bindings: Tuple
-    ) -> Optional[Tuple]:
-        """Best-ranked indexable conjunct, folded to constants — the
-        same folding the predicate index applies (point keys for
-        equality, interval entries for ranges, NULL buckets)."""
-        for conjunct in binding_analysis.indexable_templates:
-            folded = self._fold_one(conjunct, bindings)
-            if folded is not None:
-                return folded
-        return None
-
-    def _fold_one(
-        self, conjunct: IndexableConjunct, bindings: Tuple
-    ) -> Optional[Tuple]:
-        template = conjunct.template
-        if conjunct.kind == "isnull":
-            return ("isnull", conjunct.column, conjunct.negated)
-        if conjunct.kind == "in":
-            values = []
-            for item in template.items:
-                value = self._constant(item, bindings)
-                if value is _UNEVALUABLE:
-                    return None
-                values.append(value)
-            return ("hash", conjunct.column, tuple(values))
-        if isinstance(template, ast.Between):
-            low = self._constant(template.low, bindings)
-            high = self._constant(template.high, bindings)
-            if low is _UNEVALUABLE or high is _UNEVALUABLE:
-                return None
-            return ("interval", conjunct.column, (low, True, high, True, True, True))
-        left_is_column = isinstance(template.left, ast.ColumnRef)
-        value_side = template.right if left_is_column else template.left
-        bound = self._constant(value_side, bindings)
-        if bound is _UNEVALUABLE:
-            return None
-        if conjunct.kind == "eq":
-            return ("hash", conjunct.column, (bound,))
-        op = conjunct.op
-        if op is ast.BinaryOp.LT:
-            spec = (None, False, bound, False, False, True)
-        elif op is ast.BinaryOp.LE:
-            spec = (None, False, bound, True, False, True)
-        elif op is ast.BinaryOp.GT:
-            spec = (bound, False, None, False, True, False)
-        else:  # GE
-            spec = (bound, True, None, False, True, False)
-        return ("interval", conjunct.column, spec)
-
     def _matches(self, key: _Key, tuple_values: Dict) -> bool:
         """True when the tuple satisfies every bound conjunct of the key
         — mirroring the grouped checker's local-condition loop, where an
         unevaluable condition cannot rule the tuple out."""
         scope = Scope([(key.binding, list(tuple_values.keys()))])
-        row = tuple(tuple_values.values())
-        for condition in key.conjuncts:
-            try:
-                value = evaluate(condition, row, scope)
-            except ReproError:
-                continue  # cannot evaluate: cannot rule out the bump
-            if value is not True:
-                return False
-        return True
-
-    def _constant(self, expr: ast.Expr, bindings: Tuple):
-        try:
-            bound = bind_expression(expr, bindings)
-            return evaluate(bound, (), _EMPTY_SCOPE)
-        except ReproError:
-            return _UNEVALUABLE
+        return first_failing(key.conjuncts, tuple_values, scope) is None

@@ -301,14 +301,7 @@ def restore_pipeline(
         pipeline.tailer.seek(max(log.last_lsn, log.oldest_lsn - 1))
         pipeline.tailer.last_lost_range = report.lost_range
         with pipeline.registry_lock:
-            watched = sorted(
-                {
-                    url
-                    for instance in pipeline.registry.instances()
-                    for url in instance.urls
-                }
-            )
-        report.flushed_urls = len(watched)
+            report.flushed_urls = len(pipeline.registry.urls())
         pipeline._flush_everything()
     else:
         pipeline.tailer.seek(cursor)
@@ -381,9 +374,7 @@ def _count_fingerprints(registry) -> int:
 
 def _flush_all_portal(invalidator) -> int:
     """The synchronous flush-all valve, applied eagerly at restore time."""
-    all_urls = sorted(
-        {url for instance in invalidator.registry.instances() for url in instance.urls}
-    )
+    all_urls = invalidator.registry.urls()
     invalidator.messages.invalidate(all_urls)
     for url in all_urls:
         invalidator.qiurl_map.drop_url(url)

@@ -197,6 +197,73 @@ def all_conditions(stmt: ast.Select) -> List[ast.Expr]:
     return conjuncts(stmt.where) + join_on_conditions(stmt)
 
 
+def column_free(expr: ast.Expr) -> bool:
+    """True when ``expr`` references no columns (and no subqueries), so
+    binding parameters into it yields a constant."""
+    return not any(
+        isinstance(node, (ast.ColumnRef, ast.Exists, ast.InSelect, ast.ScalarSubquery))
+        for node in ast.walk(expr)
+    )
+
+
+def implied_equalities(
+    conditions: List[ast.Expr], aliases: Dict[str, str]
+) -> Dict[str, List[ast.Expr]]:
+    """Per-binding equalities implied across inner-join equality chains.
+
+    ``item.vid = vendor.vid AND vendor.vid = ?`` implies ``item.vid = ?``:
+    a tuple of ``item`` whose ``vid`` differs from the bound value (or is
+    NULL) joins no row of the result.  Sound because SQL ``=`` is
+    transitive wherever it is TRUE (numbers compare as floats, strings
+    exactly, numbers never equal strings, NULL is never equal; a stored
+    NaN would compare equal to every number and break this).
+
+    ``conditions`` must be inner-join conjuncts (callers bail out on
+    LEFT JOINs).  Only references qualified by a binding name take part —
+    an unqualified column of a multi-source query is ambiguous.  Returns
+    binding → implied ``binding.column = <column-free expr>`` conjuncts,
+    omitting the binding that already carries the constant equality.
+    """
+    if len(aliases) < 2:
+        return {}
+    parent: Dict[Tuple[str, str], Tuple[str, str]] = {}
+
+    def find(node: Tuple[str, str]) -> Tuple[str, str]:
+        while parent.setdefault(node, node) != node:
+            node = parent[node]
+        return node
+
+    def column_of(expr: ast.Expr) -> Optional[Tuple[str, str]]:
+        if isinstance(expr, ast.ColumnRef) and expr.table is not None:
+            binding = expr.table.lower()
+            if binding in aliases:
+                return (binding, expr.column.lower())
+        return None
+
+    constants: List[Tuple[Tuple[str, str], ast.Expr]] = []
+    for condition in conditions:
+        if not (isinstance(condition, ast.Binary) and condition.op is ast.BinaryOp.EQ):
+            continue
+        left, right = column_of(condition.left), column_of(condition.right)
+        if left is not None and right is not None:
+            parent[find(left)] = find(right)
+        elif left is not None and column_free(condition.right):
+            constants.append((left, condition.right))
+        elif right is not None and column_free(condition.left):
+            constants.append((right, condition.left))
+    implied: Dict[str, List[ast.Expr]] = {}
+    for node, value in constants:
+        root = find(node)
+        for member in list(parent):
+            if member[0] != node[0] and find(member) == root:
+                implied.setdefault(member[0], []).append(
+                    ast.Binary(
+                        ast.BinaryOp.EQ, ast.ColumnRef(member[1], member[0]), value
+                    )
+                )
+    return implied
+
+
 def tables_of_condition(
     condition: ast.Expr, aliases: Dict[str, str]
 ) -> Set[str]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +458,44 @@ def walk(expr: Optional[Expr]):
             stack.extend(_select_expressions(node.query))
         elif isinstance(node, ScalarSubquery):
             stack.extend(_select_expressions(node.query))
+
+
+def map_scalar(node: Expr, leaf: Callable[[Expr], Expr]) -> Expr:
+    """Rebuild a scalar expression bottom-up, replacing every leaf —
+    column, parameter, literal, or a subquery (not descended into) — by
+    ``leaf(node)``."""
+    if isinstance(node, Binary):
+        return Binary(node.op, map_scalar(node.left, leaf), map_scalar(node.right, leaf))
+    if isinstance(node, Unary):
+        return Unary(node.op, map_scalar(node.operand, leaf))
+    if isinstance(node, Between):
+        return Between(
+            map_scalar(node.expr, leaf),
+            map_scalar(node.low, leaf),
+            map_scalar(node.high, leaf),
+            node.negated,
+        )
+    if isinstance(node, InList):
+        return InList(
+            map_scalar(node.expr, leaf),
+            tuple(map_scalar(item, leaf) for item in node.items),
+            node.negated,
+        )
+    if isinstance(node, IsNull):
+        return IsNull(map_scalar(node.expr, leaf), node.negated)
+    if isinstance(node, FunctionCall):
+        return FunctionCall(
+            node.name, tuple(map_scalar(arg, leaf) for arg in node.args), node.distinct
+        )
+    if isinstance(node, Case):
+        return Case(
+            tuple(
+                (map_scalar(cond, leaf), map_scalar(value, leaf))
+                for cond, value in node.whens
+            ),
+            map_scalar(node.default, leaf) if node.default is not None else None,
+        )
+    return leaf(node)
 
 
 def subqueries(expr: Optional[Expr]):

@@ -12,13 +12,18 @@ from __future__ import annotations
 import threading
 from typing import Callable, Dict, List, Optional
 
+from repro.core.invalidator.cascade import CascadeCounters
 
-class PipelineMetrics:
-    """Thread-safe metric store for one pipeline instance."""
+
+class PipelineMetrics(CascadeCounters):
+    """Thread-safe metric store for one pipeline instance: the workers'
+    :class:`CascadeCounters` summed over every batch, plus the tailer's
+    and the bus's counters."""
 
     def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
         import time
 
+        super().__init__()
         self._clock = clock or time.monotonic
         self._lock = threading.Lock()
         self.started_at: Optional[float] = None
@@ -26,36 +31,10 @@ class PipelineMetrics:
         self.records_tailed = 0
         self.batches_tailed = 0
         self.truncations = 0
-        # workers
+        # workers (the cascade counters come from CascadeCounters)
         self.batches_processed = 0
         self.records_processed = 0
         self.duplicate_records_skipped = 0
-        self.pairs_checked = 0
-        self.unaffected = 0
-        self.affected = 0
-        # predicate-index probes (pairs_pruned ⊆ unaffected ⊆ pairs_checked)
-        self.pairs_pruned = 0
-        self.index_probes = 0
-        self.probe_seconds = 0.0
-        self.polls_requested = 0
-        self.polls_executed = 0
-        self.polls_impacted = 0
-        self.over_invalidated = 0
-        self.scheduler_cycles = 0
-        self.poll_slots_offered = 0  # budget * cycles (None budget: offered = requested)
-        # set-oriented (batched) polling
-        self.batched_queries = 0
-        self.batched_instances = 0
-        self.demux_misses = 0
-        # safety enforcement (lint verdicts)
-        self.fallback_ejects = 0
-        self.poll_only_checks = 0
-        # version-key fast path (polls_avoided ⊆ unaffected)
-        self.version_key_checks = 0
-        self.polls_avoided = 0
-        # static conflict matrix (template_pairs_pruned ⊆ static ⊆ unaffected)
-        self.static_disjoint_skips = 0
-        self.template_pairs_pruned = 0
         # bus
         self.ejects_requested = 0
         self.ejects_coalesced = 0
@@ -149,35 +128,17 @@ class PipelineMetrics:
                     "lag_records": lag_records,
                     "truncations": self.truncations,
                 },
-                "workers": {
-                    "queue_depths": list(queue_depths or []),
-                    "batches_processed": self.batches_processed,
-                    "records_processed": self.records_processed,
-                    "duplicates_skipped": self.duplicate_records_skipped,
-                    "pairs_checked": self.pairs_checked,
-                    "unaffected": self.unaffected,
-                    "affected": self.affected,
-                    "pairs_pruned": self.pairs_pruned,
-                    "index_probes": self.index_probes,
-                    "probe_time_ms": round(1000.0 * self.probe_seconds, 3),
-                    "polls_requested": self.polls_requested,
-                    "polls_executed": self.polls_executed,
-                    "polls_impacted": self.polls_impacted,
-                    "batched_queries": self.batched_queries,
-                    "batched_instances": self.batched_instances,
-                    "demux_misses": self.demux_misses,
-                    "poll_round_trips_saved": max(
-                        0, self.batched_instances - self.batched_queries
-                    ),
-                    "over_invalidated": self.over_invalidated,
-                    "fallback_ejects": self.fallback_ejects,
-                    "poll_only_checks": self.poll_only_checks,
-                    "version_key_checks": self.version_key_checks,
-                    "polls_avoided": self.polls_avoided,
-                    "static_disjoint_skips": self.static_disjoint_skips,
-                    "template_pairs_pruned": self.template_pairs_pruned,
-                    "poll_budget_utilization": round(utilization, 4),
-                },
+                "workers": dict(
+                    self.counter_values(),
+                    queue_depths=list(queue_depths or []),
+                    batches_processed=self.batches_processed,
+                    records_processed=self.records_processed,
+                    duplicates_skipped=self.duplicate_records_skipped,
+                    probe_time_ms=round(self.probe_time_ms, 3),
+                    poll_round_trips_saved=self.poll_round_trips_saved,
+                    checker_invocations=self.checker_invocations,
+                    poll_budget_utilization=round(utilization, 4),
+                ),
                 "bus": {
                     "ejects_requested": self.ejects_requested,
                     "ejects_coalesced": self.ejects_coalesced,

@@ -10,7 +10,7 @@ turns the same algorithm into a continuously-running system:
   to its shard worker (per-relation ordering preserved), and applies the
   result-cache daemon hook of §4.3;
 * :class:`~repro.stream.workers.InvalidationWorker` threads run the
-  grouped independence analysis and budgeted polling per shard;
+  verdict cascade (the synchronous invalidator's code) per shard;
 * an :class:`~repro.stream.bus.EjectBus` coalesces and delivers the
   ``Cache-Control: eject`` messages, absorbing cache faults.
 
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 from pathlib import Path
 from typing import Union
@@ -46,13 +46,11 @@ from repro.core import recovery
 from repro.core.qiurl import QIURLMap
 from repro.core.invalidator.infomgmt import InformationManager
 from repro.core.invalidator.policies import InvalidationPolicy, PolicyEngine
-from repro.core.invalidator.predindex import PredicateIndex
+from repro.core.invalidator.cascade import CascadeConfig, CascadeTiers, census
 from repro.core.invalidator.registration import (
     QueryTypeRegistry,
     RegistrationModule,
 )
-from repro.core.invalidator.safety import SafetyEnforcer, SafetyVerdict
-from repro.core.invalidator.versionkey import VersionKeyIndex
 from repro.stream.bus import EjectBus
 from repro.stream.metrics import PipelineMetrics
 from repro.stream.tailer import LogTailer
@@ -113,39 +111,32 @@ class StreamingInvalidationPipeline:
         )
         self.registry_lock = threading.RLock()
         self.db_lock = threading.Lock()
-        # Safety enforcement: verdicts computed at registration, POLL_ONLY
-        # fingerprints established at pump time before batches dispatch.
-        self.safety = SafetyEnforcer(database, enabled=safety_enforcement)
-        self.registry.add_listener(self.safety)
-        # Static conflict matrix (shared across shards, internally
-        # locked).  Attached *before* the predicate index so its
-        # constant-false precompute is ready when the index's classifier
-        # consults ``index_drop`` for the same registration event.
-        self.conflict_matrix = None
-        if conflict_matrix:
-            from repro.core.invalidator.conflict import ConflictMatrix
-
-            self.conflict_matrix = ConflictMatrix(
-                columns_of=self._table_columns
-            ).attach_to(self.registry)
-        # Predicate index (shared across shards): registrations happen
-        # under the registry lock, so listener inserts are serialized.
-        self.pred_index: Optional[PredicateIndex] = None
-        if predicate_index:
-            self.pred_index = PredicateIndex(
-                conflict=self.conflict_matrix
-            ).attach_to(self.registry)
         self.tailer = LogTailer(
             database.update_log, batch_size=batch_size, start_lsn=start_lsn
         )
-        # Version-key fast path: counters are bumped by the pump before
-        # batches dispatch, consulted by every worker.  Created after the
-        # tailer — new fast-path instances are stamped with its cursor.
-        self.version_index: Optional[VersionKeyIndex] = None
-        if version_keys:
-            self.version_index = VersionKeyIndex(
-                stamp_source=lambda: self.tailer.cursor
-            ).attach_to(self.registry)
+        self.config = CascadeConfig(
+            predicate_index=predicate_index,
+            version_keys=version_keys,
+            conflict_matrix=conflict_matrix,
+            batch_polling=batch_polling,
+            grouped_analysis=grouped_analysis,
+            safety_enforcement=safety_enforcement,
+        )
+        # Shared by every shard.  Registrations happen under the registry
+        # lock, so listener inserts are serialized; POLL_ONLY fingerprints
+        # are taken at pump time before batches dispatch; version-key
+        # counters are bumped by the pump before batches dispatch, and new
+        # fast-path instances are stamped with the tailer's cursor.
+        tiers = CascadeTiers.attach(
+            self.config,
+            self.registry,
+            database,
+            stamp_source=lambda: self.tailer.cursor,
+        )
+        self.safety = tiers.safety
+        self.conflict_matrix = tiers.conflict_matrix
+        self.pred_index = tiers.pred_index
+        self.version_index = tiers.version_index
         self.bus = bus or EjectBus(metrics=self.metrics)
         if bus is not None:
             self.bus.metrics = self.metrics
@@ -158,14 +149,10 @@ class StreamingInvalidationPipeline:
             infomgmt=self.infomgmt,
             registry_lock=self.registry_lock,
             db_lock=self.db_lock,
+            config=self.config,
+            tiers=tiers,
             polling_budget=polling_budget,
-            grouped_analysis=grouped_analysis,
-            pred_index=self.pred_index,
-            batch_polling=batch_polling,
             servlet_deadline=servlet_deadline,
-            safety=self.safety,
-            version_index=self.version_index,
-            conflict_matrix=self.conflict_matrix,
         )
         self.pool = WorkerPool(
             num_shards,
@@ -179,18 +166,6 @@ class StreamingInvalidationPipeline:
         self._clock = time.monotonic
         self._pump_thread: Optional[threading.Thread] = None
         self._running = False
-
-    # -- construction helpers --------------------------------------------------
-
-    def _table_columns(self, table: str) -> Optional[List[str]]:
-        """Schema accessor for the conflict matrix's index-drop proofs;
-        None for unknown tables (the matrix then refuses the drop)."""
-        from repro.errors import ReproError
-
-        try:
-            return list(self.database.table_columns(table))
-        except ReproError:
-            return None
 
     @classmethod
     def for_portal(cls, portal, **kwargs) -> "StreamingInvalidationPipeline":
@@ -374,13 +349,7 @@ class StreamingInvalidationPipeline:
             # the resynced cursor must never be vouched for again.
             self.version_index.note_truncation(self.tailer.cursor)
         with self.registry_lock:
-            all_urls = sorted(
-                {
-                    url
-                    for instance in self.registry.instances()
-                    for url in instance.urls
-                }
-            )
+            all_urls = self.registry.urls()
             for url in all_urls:
                 self.qiurl_map.drop_url(url)
                 self.registry.drop_url(url)
@@ -442,20 +411,7 @@ class StreamingInvalidationPipeline:
                 snapshot["predicate_index"] = self.pred_index.stats()
             # Safety observability: derived from the live registry, so it
             # is computed here rather than accumulated in the metrics.
-            safe_instances = version_key_instances = 0
-            for instance in self.registry.instances():
-                verdict = self.safety.verdict_for(instance.query_type)
-                if verdict is SafetyVerdict.SAFE:
-                    safe_instances += 1
-                elif verdict is SafetyVerdict.VERSION_KEY:
-                    version_key_instances += 1
-            snapshot["workers"]["safe_instances"] = safe_instances
-            snapshot["workers"]["version_key_instances"] = version_key_instances
-            snapshot["workers"]["lint_findings"] = sum(
-                len(query_type.safety.findings)
-                for query_type in self.registry.types()
-                if query_type.safety is not None
-            )
+            snapshot["workers"].update(census(self.registry, self.safety))
             snapshot["safety"] = self.safety.stats()
             if self.version_index is not None:
                 snapshot["version_keys"] = self.version_index.stats()
