@@ -5,7 +5,9 @@ Sub-modules follow the paper's decomposition:
 * :mod:`registration` — query-type registration and discovery (§4.1);
 * :mod:`policies` — invalidation-policy registration and discovery
   (§4.1.3–4.1.4);
-* :mod:`updates` — update processing into Δ⁺/Δ⁻ tables (§4.2.1);
+* :mod:`driver` — update processing (§4.2.1) and the driver core both
+  invalidation drivers share: the one log tailer, construction, batch
+  prelude, and the update-loss valve;
 * :mod:`analysis` — the independence check deciding, per (query instance,
   update), affected / unaffected / needs-polling (Example 4.1);
 * :mod:`polling` — polling-query generation and execution (§4.2.2–4.2.3);
@@ -14,7 +16,7 @@ Sub-modules follow the paper's decomposition:
 * :mod:`generator` — invalidation message creation (§4.2.4);
 * :mod:`safety` — lint-derived SAFE / POLL_ONLY / ALWAYS_EJECT
   enforcement verdicts and the conservative-fallback enforcer;
-* :mod:`invalidator` — the orchestrator, plus the two baseline
+* :mod:`invalidator` — the synchronous driver, plus the two baseline
   invalidators (trigger-based and materialized-view-based) the paper
   argues against.
 """
@@ -52,7 +54,6 @@ from repro.core.invalidator.safety import (
     classify_template,
 )
 from repro.core.invalidator.scheduler import InvalidationScheduler
-from repro.core.invalidator.updates import UpdateProcessor
 
 __all__ = [
     "GroupedChecker",
@@ -82,7 +83,6 @@ __all__ = [
     "TriggerInvalidator",
     "classify_findings",
     "classify_template",
-    "UpdateProcessor",
     "Verdict",
     "VerdictKind",
 ]

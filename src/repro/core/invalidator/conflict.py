@@ -60,11 +60,11 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import RegistrationError, ReproError
 from repro.db.log import UpdateRecord
-from repro.sql import ast
+from repro.sql.analysis import conjuncts
 from repro.sql.parser import parse_expression
 from repro.sql.satisfiability import (
     Atom,
@@ -187,14 +187,6 @@ class _InstanceProof:
 #: (instance, template-level column guard, instance-level column guard);
 #: a None guard means no proof at that level.
 _DisjointEntry = Tuple[QueryInstance, Optional[FrozenSet[str]], Optional[FrozenSet[str]]]
-
-
-def _split_conjuncts(expr: Optional[ast.Expr]) -> List[ast.Expr]:
-    if expr is None:
-        return []
-    if isinstance(expr, ast.Binary) and expr.op is ast.BinaryOp.AND:
-        return _split_conjuncts(expr.left) + _split_conjuncts(expr.right)
-    return [expr]
 
 
 class ConflictMatrix(RegistryListener):
@@ -324,7 +316,7 @@ class ConflictMatrix(RegistryListener):
                     f"unparseable update-class constraint {where!r}: {exc}"
                 ) from exc
             extraction = extract(
-                _split_conjuncts(constraint),
+                conjuncts(constraint),
                 bindings=(),
                 resolve=scoped_resolver(key),
             )
@@ -453,10 +445,33 @@ class ConflictMatrix(RegistryListener):
         bindings = self._bindings_for(query_type, update_class.table)
         if not bindings:
             return Cell(Verdict.UNKNOWN, "table referenced via subquery only")
+        proved = self._prove(
+            update_class,
+            bindings,
+            lambda binding: self._template_extraction(query_type, binding),
+        )
+        if isinstance(proved, Cell):
+            return proved
+        certificates = [d.certificate for d in proved if d.certificate]
+        return Cell(
+            Verdict.DISJOINT,
+            "; ".join(d.reason for d in proved if d.reason),
+            certificates,
+            _required_columns(certificates),
+        )
+
+    def _prove(
+        self,
+        update_class: UpdateClass,
+        bindings: Sequence[str],
+        extraction_for: Callable[[str], Extraction],
+    ) -> Union[List[Decision], Cell]:
+        """Prove every binding's extraction DISJOINT from the class and
+        re-verify each certificate: the decisions, or the failing cell."""
         class_side = self._class_extraction(update_class)
         decisions: List[Decision] = []
         for binding in bindings:
-            extraction = self._template_extraction(query_type, binding)
+            extraction = extraction_for(binding)
             decision = check_disjoint(extraction, class_side)
             if decision.verdict is not Verdict.DISJOINT:
                 return Cell(
@@ -474,13 +489,7 @@ class ConflictMatrix(RegistryListener):
                     f"certificate rejected: {errors[0]}",
                 )
             decisions.append(decision)
-        certificates = [d.certificate for d in decisions if d.certificate]
-        return Cell(
-            Verdict.DISJOINT,
-            "; ".join(d.reason for d in decisions if d.reason),
-            certificates,
-            _required_columns(certificates),
-        )
+        return decisions
 
     # -- instance-level refinement --------------------------------------------
 
@@ -554,21 +563,10 @@ class ConflictMatrix(RegistryListener):
         bindings = self._bindings_for(instance.query_type, update_class.table)
         if not bindings:
             return None
-        class_side = self._class_extraction(update_class)
-        certificates: List[Dict[str, object]] = []
-        for binding in bindings:
-            extraction = extractions[binding]
-            decision = check_disjoint(extraction, class_side)
-            if decision.verdict is not Verdict.DISJOINT:
-                return None
-            assert decision.certificate is not None
-            errors = verify_certificate(
-                decision.certificate, extraction.atoms, list(update_class.atoms)
-            )
-            if errors:
-                self.certificate_failures += 1
-                return None
-            certificates.append(decision.certificate)
+        proved = self._prove(update_class, bindings, extractions.__getitem__)
+        if isinstance(proved, Cell):
+            return None
+        certificates = [d.certificate for d in proved if d.certificate is not None]
         return _InstanceProof(certificates, _required_columns(certificates))
 
     # -- runtime queries -------------------------------------------------------

@@ -82,12 +82,13 @@ class PollingResultCache:
             "evictions": self.evictions,
         }
 
-    def invalidate_tables(self, changed_tables: Set[str]) -> int:
-        """Drop cached results whose polling query reads a changed table."""
+    def invalidate_tables(self, changed_tables: Optional[Set[str]]) -> int:
+        """Drop cached results whose polling query reads a changed table
+        (every result when ``changed_tables`` is None)."""
         dropped = [
             sql
             for sql, tables in self._tables.items()
-            if tables & changed_tables
+            if changed_tables is None or tables & changed_tables
         ]
         for sql in dropped:
             del self._results[sql]
@@ -147,8 +148,10 @@ class InformationManager:
         self.result_cache.put(sql, query, impacted)
         return impacted
 
-    def on_cycle_deltas(self, changed_tables: Set[str]) -> None:
-        """Daemon hook: refresh caches after a pull of the update log."""
+    def on_cycle_deltas(self, changed_tables: Optional[Set[str]]) -> None:
+        """Daemon hook: refresh caches after a pull of the update log.
+        ``None`` means the changes were lost to log truncation: any table
+        may have changed, so no cached polling result survives."""
         self.result_cache.invalidate_tables(changed_tables)
         if self.data_cache is not None:
             self.data_cache.synchronize()

@@ -26,23 +26,12 @@ from repro.db.matview import MaterializedViewManager
 from repro.web.cache import WebCache
 from repro.core.qiurl import QIURLMap
 from repro.core.invalidator.analysis import IndependenceChecker, VerdictKind
-from repro.core.invalidator.cascade import (
-    CascadeConfig,
-    CascadeCounters,
-    CascadeRun,
-    CascadeTiers,
-    VerdictCascade,
-    census,
-)
+from repro.core.invalidator.cascade import CascadeCounters, CascadeRun, census
+from repro.core.invalidator.driver import InvalidationDriver, dedupe_records
 from repro.core.invalidator.generator import InvalidationMessageGenerator
 from repro.core.invalidator.grouping import GroupedChecker
-from repro.core.invalidator.infomgmt import InformationManager
-from repro.core.invalidator.policies import InvalidationPolicy, PolicyEngine
-from repro.core.invalidator.registration import (
-    QueryTypeRegistry,
-    RegistrationModule,
-)
-from repro.core.invalidator.updates import UpdateProcessor, dedupe_records
+from repro.core.invalidator.policies import InvalidationPolicy
+from repro.core.invalidator.registration import QueryTypeRegistry
 
 
 @dataclass
@@ -65,15 +54,9 @@ class InvalidationReport(CascadeCounters):
     version_key_instances: int = 0
     lint_findings: int = 0
 
-    @property
-    def precision_saved(self) -> int:
-        """Pairs resolved without touching the cache: pure wins of the
-        independence check."""
-        return self.unaffected
 
-
-class Invalidator:
-    """The CachePortal invalidator (paper §4)."""
+class Invalidator(InvalidationDriver):
+    """The CachePortal invalidator (paper §4): the synchronous driver."""
 
     def __init__(
         self,
@@ -91,66 +74,35 @@ class Invalidator:
         version_keys: bool = True,
         conflict_matrix: bool = True,
     ) -> None:
-        self.database = database
-        self.config = CascadeConfig(
+        # Type-level grouped checking (§4.1.2): structural analysis done
+        # once per query type, shared by all its instances and tiers.
+        self.grouped_checker = GroupedChecker()
+        super().__init__(
+            database,
+            qiurl_map,
+            policy=policy,
+            polling_budget=polling_budget,
+            use_data_cache=use_data_cache,
+            servlet_deadline=servlet_deadline,
             predicate_index=predicate_index,
             version_keys=version_keys,
             conflict_matrix=conflict_matrix,
             batch_polling=batch_polling,
             grouped_analysis=grouped_analysis,
             safety_enforcement=safety_enforcement,
-        )
-        self.registry = QueryTypeRegistry()
-        self.registration = RegistrationModule(self.registry)
-        self.policy_engine = PolicyEngine(policy)
-        self.updates = UpdateProcessor(database)
-        # Type-level grouped checking (§4.1.2): structural analysis done
-        # once per query type, shared by all its instances and tiers.
-        self.grouped_checker = GroupedChecker()
-        tiers = CascadeTiers.attach(
-            self.config,
-            self.registry,
-            database,
-            stamp_source=lambda: self.updates.cursor,
             analysis_for=self.grouped_checker.analysis_for,
         )
-        self.safety = tiers.safety
-        self.conflict_matrix = tiers.conflict_matrix
-        self.pred_index = tiers.pred_index
-        self.version_index = tiers.version_index
-        self.infomgmt = InformationManager(
-            database, self.policy_engine, use_data_cache=use_data_cache
-        )
-        self.cascade = VerdictCascade(
-            self.config,
-            self.registry,
-            self.infomgmt,
-            tiers,
-            polling_budget=polling_budget,
-            grouped_checker=self.grouped_checker,
-            servlet_deadline=servlet_deadline,
-        )
+        self.cascade = self.new_cascade(grouped_checker=self.grouped_checker)
         self.scheduler = self.cascade.scheduler
         self.polling = self.cascade.polling
         self.batch_poller = self.cascade.batch_poller
         self.messages = InvalidationMessageGenerator(caches)
-        self.qiurl_map = qiurl_map
         self.cycles_run = 0
         self.last_report: Optional[InvalidationReport] = None
 
     @property
     def batch_polling(self) -> bool:
         return self.config.batch_polling
-
-    # -- registration entry points --------------------------------------------------
-
-    def register_query_type(self, template_sql: str, name: Optional[str] = None):
-        """Offline registration of a known query type (§4.1.1)."""
-        return self.registration.register_query_type(template_sql, name)
-
-    def ingest_qiurl_rows(self) -> int:
-        """Online discovery: pull new QI/URL rows into the registry (§4.1.2)."""
-        return self.registration.scan(self.qiurl_map.read_new())
 
     def _deadline_for(self, instance) -> float:
         return self.cascade.deadline_for(instance)
@@ -172,62 +124,43 @@ class Invalidator:
 
         self.cycles_run += 1
         report = InvalidationReport()
-        self.ingest_qiurl_rows()
-        # Fingerprint newly discovered POLL_ONLY instances before any
-        # update is examined; the synchronous cycle always promotes the
-        # previous baseline (its records are fully processed).
-        self.safety.prepare_cycle(promote=True)
-        deltas, lost = self.updates.pull_or_lose()
-        if lost:
-            # The bounded log wrapped past our cursor: the missed changes
-            # are unknowable, so every watched page must be ejected.
+        # A cycle reads every record since the previous one, and always
+        # promotes the POLL_ONLY baseline (its records are fully processed).
+        self._ingest(promote=True)
+        batch = self.tailer.poll_to_head()
+        if batch.lost:
             report.updates_lost = True
-            if self.version_index is not None:
-                # Bumps for the lost range never happened: older stamps
-                # must not be vouched for again.
-                self.version_index.note_truncation(self.updates.cursor)
-            self._eject(self.registry.urls(), report)
-            self._finish_report(report)
-            return report
-        report.records_processed = len(deltas)
-        if deltas.is_empty():
-            self._finish_report(report)
-            return report
-        self.infomgmt.on_cycle_deltas(set(deltas.tables()))
-        if self.version_index is not None:
-            # Bump-before-check: every record of the batch moves its
-            # counters before any (instance, record) pair is examined.
+            self._eject(self.lose_updates(), report)
+        elif batch.records:
+            report.records_processed = len(batch)
+            deltas = self._prelude(batch)
+            run = CascadeRun(report, elapsed_ms)
             for table in deltas.tables():
-                self.version_index.observe(deltas.changes_for(table))
-        run = CascadeRun(report, elapsed_ms)
-        for table in deltas.tables():
-            # §4.2.1: related updates are processed as a group — identical
-            # change records (same kind, same tuple) yield identical
-            # verdicts for every instance, so only the first is checked.
-            records, duplicates = dedupe_records(deltas.changes_for(table))
-            report.duplicate_records_skipped += duplicates
-            self.cascade.evaluate(run, table, records)
-        self.cascade.finish(run)
-        self._eject(run.urls, report)
-        report.polling_work_units = self.polling.stats.total_work_units
-        # Policy discovery runs at the end of each cycle (§4.1.4).
-        self.policy_engine.discover(self.registry)
-        self._finish_report(report)
-        return report
-
-    def _eject(self, urls, report: InvalidationReport) -> None:
-        outcomes = self.messages.invalidate(sorted(urls))
-        report.urls_ejected = len(outcomes)
-        report.pages_removed = sum(outcome.pages_removed for outcome in outcomes)
-        for url in urls:
-            self.qiurl_map.drop_url(url)
-            self.registry.drop_url(url)
-
-    def _finish_report(self, report: InvalidationReport) -> None:
-        """Fill the cycle-end observability counters."""
+                # §4.2.1: related updates are processed as a group —
+                # identical change records (same kind, same tuple) yield
+                # identical verdicts for every instance, so only the
+                # first is checked.
+                records, duplicates = dedupe_records(deltas.changes_for(table))
+                report.duplicate_records_skipped += duplicates
+                self.cascade.evaluate(run, table, records)
+            self.cascade.finish(run)
+            self._eject(run.urls, report)
+            self.unwatch(run.urls)
+            report.polling_work_units = self.polling.stats.total_work_units
+            # Policy discovery runs at the end of each cycle (§4.1.4).
+            self.policy_engine.discover(self.registry)
         for name, value in census(self.registry, self.safety).items():
             setattr(report, name, value)
         self.last_report = report
+        return report
+
+    def deliver(self, urls):
+        return self.messages.invalidate(sorted(urls))
+
+    def _eject(self, urls, report: InvalidationReport) -> None:
+        outcomes = self.deliver(urls)
+        report.urls_ejected = len(outcomes)
+        report.pages_removed = sum(outcome.pages_removed for outcome in outcomes)
 
 
 class TriggerInvalidator:

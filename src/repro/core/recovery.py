@@ -16,8 +16,7 @@ eject path left to it.  This module makes portal state durable:
   synchronous :class:`~repro.core.portal.CachePortal`;
 * :func:`snapshot_pipeline` / :func:`restore_pipeline` do the same for a
   :class:`~repro.stream.pipeline.StreamingInvalidationPipeline`,
-  additionally carrying the tailer's LSN cursor and the eject bus's
-  undelivered/dead-letter state.
+  additionally carrying the eject bus's undelivered/dead-letter state.
 
 **What is serialized** is source state only: QI/URL rows, query-type
 signatures with their tuning knobs and statistics, instance SQL with
@@ -34,8 +33,8 @@ Restore closes three staleness holes:
    row in the snapshot and hence no eject path — restore reconciles the
    caches and ejects these orphans.
 3. *Update-log truncation past the checkpoint*: the missed changes are
-   unknowable, so restore triggers the existing flush-all safety valve
-   (every watched page is ejected) instead of silently resuming.
+   unknowable, so restore fires the drivers' update-loss valve (every
+   watched or mapped page is ejected) instead of silently resuming.
 """
 
 from __future__ import annotations
@@ -173,152 +172,113 @@ def read_checkpoint(path: Union[str, Path]) -> Dict:
 
 def snapshot_portal(portal) -> Dict:
     """Capture a :class:`~repro.core.portal.CachePortal`'s durable state."""
-    index = portal.invalidator.version_index
-    matrix = portal.invalidator.conflict_matrix
-    return {
-        "kind": "portal",
-        "qiurl": portal.qiurl_map.snapshot_state(),
-        "registry": portal.invalidator.registry.snapshot_state(),
-        "cursor_lsn": portal.invalidator.updates.cursor,
-        "bus": None,
-        "version_keys": index.snapshot_state() if index is not None else None,
-        "conflict_matrix": (
-            matrix.snapshot_state() if matrix is not None else None
-        ),
-    }
+    return _snapshot(portal.invalidator, "portal")
 
 
 def snapshot_pipeline(pipeline) -> Dict:
-    """Capture a streaming pipeline's durable state (tailer + bus too)."""
-    index = pipeline.version_index
-    matrix = pipeline.conflict_matrix
-    return {
-        "kind": "pipeline",
-        "qiurl": pipeline.qiurl_map.snapshot_state(),
-        "registry": pipeline.registry.snapshot_state(),
-        "cursor_lsn": pipeline.tailer.checkpoint(),
-        "bus": pipeline.bus.snapshot_state(),
-        "version_keys": index.snapshot_state() if index is not None else None,
-        "conflict_matrix": (
-            matrix.snapshot_state() if matrix is not None else None
-        ),
-    }
+    """Capture a streaming pipeline's durable state (the bus too)."""
+    return _snapshot(pipeline, "pipeline", bus=pipeline.bus)
+
+
+def _snapshot(driver, kind: str, bus=None) -> Dict:
+    """The one snapshot body, for either
+    :class:`~repro.core.invalidator.driver.InvalidationDriver`: its source
+    state, read under its registry lock (the lock the workers write under)."""
+    index = driver.version_index
+    matrix = driver.conflict_matrix
+    with driver.registry_lock:
+        return {
+            "kind": kind,
+            "qiurl": driver.qiurl_map.snapshot_state(),
+            "registry": driver.registry.snapshot_state(),
+            "cursor_lsn": driver.tailer.checkpoint(),
+            "bus": bus.snapshot_state() if bus is not None else None,
+            "version_keys": index.snapshot_state() if index is not None else None,
+            "conflict_matrix": (
+                matrix.snapshot_state() if matrix is not None else None
+            ),
+        }
 
 
 def restore_portal(
     portal, payload: Dict, reconcile_caches: bool = True
 ) -> RecoveryReport:
-    """Reload a snapshot into a (freshly constructed) portal.
-
-    Restores the QI/URL map and registry (replaying registrations so any
-    attached predicate index rebuilds itself), seeks the update cursor to
-    the checkpointed LSN, fires the flush-all valve when the log has
-    truncated past it, and ejects orphaned cached pages.
-    """
-    report = RecoveryReport()
+    """Reload a snapshot into a (freshly constructed) portal."""
     invalidator = portal.invalidator
-    report.map_rows_restored = portal.qiurl_map.restore_state(payload["qiurl"])
-    matrix = invalidator.conflict_matrix
-    conflict_state = payload.get("conflict_matrix")
-    if matrix is not None and conflict_state:
-        # Classes first: replayed registrations must see the declared
-        # update classes so per-class proofs rebuild alongside them.
-        report.conflict_classes_restored = matrix.restore_classes(
-            conflict_state
-        )
-    registry_stats = invalidator.registry.restore_state(payload["registry"])
-    report.types_restored = registry_stats["query_types"]
-    report.instances_restored = registry_stats["query_instances"]
-    if matrix is not None and conflict_state:
-        # Cells are derived state: recompute and compare against the
-        # checkpointed verdicts (the fresh verdict always wins).
-        comparison = matrix.compare_cells(conflict_state, invalidator.registry)
-        report.conflict_cells_compared = comparison["compared"]
-        report.conflict_cell_mismatches = comparison["mismatches"]
-    invalidator.safety.after_restore()
-    report.fingerprints_restored = _count_fingerprints(invalidator.registry)
-    cursor = int(payload["cursor_lsn"])
-    report.cursor_lsn = cursor
-    log = invalidator.database.update_log
-    if cursor + 1 < log.oldest_lsn:
-        # The log wrapped past the checkpoint: what changed in between is
-        # unknowable.  Resume would be silent staleness — flush instead.
-        report.log_truncated = True
-        report.lost_range = (cursor + 1, max(log.last_lsn, log.oldest_lsn - 1))
-        invalidator.updates.skip_to_head()
-        if invalidator.version_index is not None:
-            invalidator.version_index.note_truncation(invalidator.updates.cursor)
-        report.flushed_urls = _flush_all_portal(invalidator)
-    else:
-        invalidator.updates.seek(cursor)
-    if invalidator.version_index is not None:
-        # Registry replay rebuilt the keys; overlay the checkpointed
-        # counters (restamped instances carry their checkpointed stamps).
-        report.version_keys_restored = invalidator.version_index.restore_state(
-            payload.get("version_keys"), fallback_floor=cursor
-        )
-    if reconcile_caches:
-        report.orphans_ejected = _eject_orphans(
-            invalidator.messages.caches, portal.qiurl_map
-        )
-    return report
+    caches = invalidator.messages.caches if reconcile_caches else None
+    return _restore(invalidator, payload, caches)
 
 
 def restore_pipeline(
     pipeline, payload: Dict, reconcile_caches: bool = True
 ) -> RecoveryReport:
     """Reload a snapshot into a (not yet started) streaming pipeline."""
-    report = RecoveryReport()
-    report.map_rows_restored = pipeline.qiurl_map.restore_state(payload["qiurl"])
-    matrix = pipeline.conflict_matrix
-    conflict_state = payload.get("conflict_matrix")
-    with pipeline.registry_lock:
-        if matrix is not None and conflict_state:
-            report.conflict_classes_restored = matrix.restore_classes(
-                conflict_state
-            )
-        registry_stats = pipeline.registry.restore_state(payload["registry"])
-        if matrix is not None and conflict_state:
-            comparison = matrix.compare_cells(
-                conflict_state, pipeline.registry
-            )
-            report.conflict_cells_compared = comparison["compared"]
-            report.conflict_cell_mismatches = comparison["mismatches"]
-        pipeline.safety.after_restore()
-        report.fingerprints_restored = _count_fingerprints(pipeline.registry)
-    report.types_restored = registry_stats["query_types"]
-    report.instances_restored = registry_stats["query_instances"]
-    cursor = int(payload["cursor_lsn"])
-    report.cursor_lsn = cursor
-    bus_state = payload.get("bus")
-    if bus_state:
-        report.ejects_republished = pipeline.bus.restore_state(bus_state)
-        report.dead_letters_restored = len(bus_state.get("dead_letters", []))
-    log = pipeline.database.update_log
-    if cursor + 1 < log.oldest_lsn:
-        report.log_truncated = True
-        report.lost_range = (cursor + 1, max(log.last_lsn, log.oldest_lsn - 1))
-        pipeline.tailer.seek(max(log.last_lsn, log.oldest_lsn - 1))
-        pipeline.tailer.last_lost_range = report.lost_range
-        with pipeline.registry_lock:
-            report.flushed_urls = len(pipeline.registry.urls())
-        pipeline._flush_everything()
-    else:
-        pipeline.tailer.seek(cursor)
-    if pipeline.version_index is not None:
-        # Registry replay rebuilt the keys; overlay the checkpointed
-        # counters.  On truncation _flush_everything already raised the
-        # floor to the resynced cursor, so older stamps stay unvouchable.
-        report.version_keys_restored = pipeline.version_index.restore_state(
-            payload.get("version_keys"), fallback_floor=cursor
-        )
+    caches = None
     if reconcile_caches:
         caches = [
             target.cache
             for target in pipeline.bus.targets()
             if hasattr(target.cache, "keys") and hasattr(target.cache, "eject")
         ]
-        report.orphans_ejected = _eject_orphans(caches, pipeline.qiurl_map)
+    return _restore(pipeline, payload, caches, bus=pipeline.bus)
+
+
+def _restore(driver, payload: Dict, caches, bus=None) -> RecoveryReport:
+    """The one restore body, for either invalidation driver.
+
+    Restores the QI/URL map and registry (replaying registrations so any
+    attached predicate index rebuilds itself), re-publishes the bus's
+    undelivered ejects, seeks the tailer to the checkpointed LSN, fires
+    the update-loss valve when the log has truncated past it, and ejects
+    orphaned pages from ``caches`` (None: no reconciliation).
+    """
+    report = RecoveryReport()
+    report.map_rows_restored = driver.qiurl_map.restore_state(payload["qiurl"])
+    matrix = driver.conflict_matrix
+    conflict_state = payload.get("conflict_matrix")
+    with driver.registry_lock:
+        if matrix is not None and conflict_state:
+            # Classes first: replayed registrations must see the declared
+            # update classes so per-class proofs rebuild alongside them.
+            report.conflict_classes_restored = matrix.restore_classes(
+                conflict_state
+            )
+        registry_stats = driver.registry.restore_state(payload["registry"])
+        if matrix is not None and conflict_state:
+            # Cells are derived state: recompute and compare against the
+            # checkpointed verdicts (the fresh verdict always wins).
+            comparison = matrix.compare_cells(conflict_state, driver.registry)
+            report.conflict_cells_compared = comparison["compared"]
+            report.conflict_cell_mismatches = comparison["mismatches"]
+        driver.safety.after_restore()
+        report.fingerprints_restored = _count_fingerprints(driver.registry)
+    report.types_restored = registry_stats["query_types"]
+    report.instances_restored = registry_stats["query_instances"]
+    cursor = int(payload["cursor_lsn"])
+    report.cursor_lsn = cursor
+    bus_state = payload.get("bus")
+    if bus is not None and bus_state:
+        report.ejects_republished = bus.restore_state(bus_state)
+        report.dead_letters_restored = len(bus_state.get("dead_letters", []))
+    driver.tailer.seek(cursor)
+    if driver.tailer.truncated():
+        # The log wrapped past the checkpoint: what changed in between is
+        # unknowable.  Resume would be silent staleness — flush instead.
+        report.log_truncated = True
+        report.lost_range = driver.tailer.resync()
+        urls = driver.lose_updates()
+        report.flushed_urls = len(urls)
+        driver.deliver(urls)
+    if driver.version_index is not None:
+        # Registry replay rebuilt the keys; overlay the checkpointed
+        # counters (restamped instances carry their checkpointed stamps).
+        # On truncation the valve already raised the floor to the
+        # resynced cursor, so older stamps stay unvouchable.
+        report.version_keys_restored = driver.version_index.restore_state(
+            payload.get("version_keys"), fallback_floor=cursor
+        )
+    if caches is not None:
+        report.orphans_ejected = _eject_orphans(caches, driver.qiurl_map)
     return report
 
 
@@ -370,16 +330,6 @@ def _count_fingerprints(registry) -> int:
         for instance in registry.instances()
         if instance.result_fingerprint is not None
     )
-
-
-def _flush_all_portal(invalidator) -> int:
-    """The synchronous flush-all valve, applied eagerly at restore time."""
-    all_urls = invalidator.registry.urls()
-    invalidator.messages.invalidate(all_urls)
-    for url in all_urls:
-        invalidator.qiurl_map.drop_url(url)
-        invalidator.registry.drop_url(url)
-    return len(all_urls)
 
 
 def _eject_orphans(caches, qiurl_map) -> int:

@@ -96,6 +96,10 @@ class SubqueryResolver:
         )
 
     def _rewrite(self, node: ast.Expr) -> ast.Expr:
+        return ast.map_scalar(node, self._resolve)
+
+    def _resolve(self, node: ast.Expr) -> ast.Expr:
+        """Leaf of :meth:`_rewrite`: a subquery becomes its value."""
         if isinstance(node, ast.Exists):
             rows = self._run(node.query)
             return ast.Literal(bool(rows) != node.negated)
@@ -111,40 +115,6 @@ class SubqueryResolver:
                 )
             value = rows[0][0] if rows else None
             return ast.Literal(value)
-        if isinstance(node, ast.Binary):
-            return ast.Binary(node.op, self._rewrite(node.left), self._rewrite(node.right))
-        if isinstance(node, ast.Unary):
-            return ast.Unary(node.op, self._rewrite(node.operand))
-        if isinstance(node, ast.Between):
-            return ast.Between(
-                self._rewrite(node.expr),
-                self._rewrite(node.low),
-                self._rewrite(node.high),
-                node.negated,
-            )
-        if isinstance(node, ast.InList):
-            return ast.InList(
-                self._rewrite(node.expr),
-                tuple(self._rewrite(item) for item in node.items),
-                node.negated,
-            )
-        if isinstance(node, ast.IsNull):
-            return ast.IsNull(self._rewrite(node.expr), node.negated)
-        if isinstance(node, ast.FunctionCall):
-            return ast.FunctionCall(
-                node.name,
-                tuple(self._rewrite(arg) for arg in node.args),
-                node.distinct,
-            )
-        if isinstance(node, ast.Case):
-            whens = tuple(
-                (self._rewrite(cond), self._rewrite(value))
-                for cond, value in node.whens
-            )
-            default = (
-                self._rewrite(node.default) if node.default is not None else None
-            )
-            return ast.Case(whens, default)
         return node
 
     def _run(self, query: ast.Select) -> List[Tuple]:

@@ -31,8 +31,6 @@ def conjuncts(expr: Optional[ast.Expr]) -> List[ast.Expr]:
             stack.append(node.left)
         else:
             result.append(node)
-    # The stack discipline above yields left-to-right order already, but a
-    # final reverse keeps the implementation honest if that changes.
     return result
 
 

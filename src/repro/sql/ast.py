@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +416,7 @@ def _select_expressions(stmt: "Select"):
         yield from source_conditions(source)
 
 
-def walk(expr: Optional[Expr]):
+def walk(expr: Optional[Expr]) -> Iterator[Expr]:
     """Yield ``expr`` and every sub-expression, depth-first.
 
     Descends *into* subqueries (their WHERE/HAVING/select list/ON
@@ -498,7 +498,7 @@ def map_scalar(node: Expr, leaf: Callable[[Expr], Expr]) -> Expr:
     return leaf(node)
 
 
-def subqueries(expr: Optional[Expr]):
+def subqueries(expr: Optional[Expr]) -> Iterator[Expr]:
     """Yield every subquery node (Exists/InSelect/ScalarSubquery) in
     ``expr``, including nested ones."""
     for node in walk(expr):

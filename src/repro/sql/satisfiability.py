@@ -40,6 +40,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import DatabaseError, ReproError
 from repro.sql import ast
+from repro.sql.analysis import column_free
 
 #: A constant SQL value as extraction produces it.
 Const = Union[int, float, str, bool, None]
@@ -196,22 +197,6 @@ def _plain_column(
     return None
 
 
-def _column_free(expr: ast.Expr) -> bool:
-    return not any(
-        isinstance(
-            node, (ast.ColumnRef, ast.Exists, ast.InSelect, ast.ScalarSubquery)
-        )
-        for node in ast.walk(expr)
-    )
-
-
-def _has_subquery(expr: ast.Expr) -> bool:
-    return any(
-        isinstance(node, (ast.Exists, ast.InSelect, ast.ScalarSubquery))
-        for node in ast.walk(expr)
-    )
-
-
 def extract(
     conditions: Sequence[ast.Expr],
     bindings: Optional[Sequence[Const]] = None,
@@ -238,7 +223,7 @@ def _extract_one(
     resolve: Callable[[ast.ColumnRef], Optional[str]],
     out: Extraction,
 ) -> None:
-    if _has_subquery(conjunct):
+    if any(True for _ in ast.subqueries(conjunct)):
         out.complete = False
         return
     refs = [node for node in ast.walk(conjunct) if isinstance(node, ast.ColumnRef)]
@@ -296,11 +281,11 @@ def _extract_single_column(
         conjunct.op in ast.COMPARISONS or conjunct.op is ast.BinaryOp.LIKE
     ):
         col_side = _plain_column(conjunct.left, resolve_here)
-        if col_side is not None and _column_free(conjunct.right):
+        if col_side is not None and column_free(conjunct.right):
             op, other = conjunct.op, conjunct.right
         else:
             col_side = _plain_column(conjunct.right, resolve_here)
-            if col_side is None or not _column_free(conjunct.left):
+            if col_side is None or not column_free(conjunct.left):
                 out.complete = False
                 return
             flipped = ast.FLIPPED.get(conjunct.op)

@@ -5,7 +5,8 @@ package turns the synchronous invalidation pass into a continuously
 running pipeline:
 
 * :mod:`tailer` — CDC consumption of the Δ⁺R/Δ⁻R update stream with
-  bounded buffering and resumable offsets;
+  bounded buffering and resumable offsets (the log reader both drivers
+  share, from :mod:`repro.core.invalidator.driver`);
 * :mod:`workers` — relation-sharded worker threads running the grouped
   independence analysis and budgeted polling per shard;
 * :mod:`bus` — coalescing eject delivery with retry, backoff, per-cache
@@ -23,7 +24,6 @@ from repro.stream.tailer import LogTailer, TailBatch
 from repro.stream.workers import (
     InvalidationWorker,
     ShardBatch,
-    WorkerContext,
     WorkerPool,
     shard_for,
 )
@@ -39,7 +39,6 @@ __all__ = [
     "ShardBatch",
     "StreamingInvalidationPipeline",
     "TailBatch",
-    "WorkerContext",
     "WorkerPool",
     "shard_for",
 ]

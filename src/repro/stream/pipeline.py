@@ -4,19 +4,18 @@ The synchronous :class:`~repro.core.invalidator.invalidator.Invalidator`
 processes each synchronization point as one blocking pass.  The pipeline
 turns the same algorithm into a continuously-running system:
 
-* a :class:`~repro.stream.tailer.LogTailer` consumes the update log in
-  bounded batches with a resumable offset;
-* a pump thread ingests new QI/URL rows, routes each relation's changes
-  to its shard worker (per-relation ordering preserved), and applies the
-  result-cache daemon hook of §4.3;
+* a pump thread reads the update log in bounded batches through the
+  driver core it shares with the synchronous invalidator
+  (:class:`~repro.core.invalidator.driver.InvalidationDriver`: log
+  tailer, batch prelude, update-loss valve) and routes each relation's
+  changes to its shard worker (per-relation ordering preserved);
 * :class:`~repro.stream.workers.InvalidationWorker` threads run the
   verdict cascade (the synchronous invalidator's code) per shard;
 * an :class:`~repro.stream.bus.EjectBus` coalesces and delivers the
   ``Cache-Control: eject`` messages, absorbing cache faults.
 
-The update-loss safety valve of the synchronous path is kept: when the
-bounded log truncates past the tailer's offset, every watched page is
-flushed.
+When the bounded log truncates past the tailer's offset, the shared
+update-loss valve flushes every watched page over the bus.
 
 Typical use::
 
@@ -36,28 +35,21 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict, Optional, Sequence
-
 from pathlib import Path
-from typing import Union
+from typing import Callable, Dict, Optional, Sequence, Union
 
 from repro.db.engine import Database
 from repro.core import recovery
 from repro.core.qiurl import QIURLMap
-from repro.core.invalidator.infomgmt import InformationManager
-from repro.core.invalidator.policies import InvalidationPolicy, PolicyEngine
-from repro.core.invalidator.cascade import CascadeConfig, CascadeTiers, census
-from repro.core.invalidator.registration import (
-    QueryTypeRegistry,
-    RegistrationModule,
-)
+from repro.core.invalidator.cascade import census
+from repro.core.invalidator.driver import InvalidationDriver
+from repro.core.invalidator.policies import InvalidationPolicy
 from repro.stream.bus import EjectBus
 from repro.stream.metrics import PipelineMetrics
-from repro.stream.tailer import LogTailer
-from repro.stream.workers import ShardBatch, WorkerContext, WorkerPool
+from repro.stream.workers import ShardBatch, WorkerPool
 
 
-class StreamingInvalidationPipeline:
+class StreamingInvalidationPipeline(InvalidationDriver):
     """Concurrent CachePortal invalidation over one database.
 
     Args:
@@ -100,66 +92,31 @@ class StreamingInvalidationPipeline:
         bus: Optional[EjectBus] = None,
         metrics: Optional[PipelineMetrics] = None,
     ) -> None:
-        self.database = database
-        self.qiurl_map = qiurl_map if qiurl_map is not None else QIURLMap()
-        self.metrics = metrics or PipelineMetrics()
-        self.registry = QueryTypeRegistry()
-        self.registration = RegistrationModule(self.registry)
-        self.policy_engine = PolicyEngine(policy)
-        self.infomgmt = InformationManager(
-            database, self.policy_engine, use_data_cache=use_data_cache
-        )
-        self.registry_lock = threading.RLock()
-        self.db_lock = threading.Lock()
-        self.tailer = LogTailer(
-            database.update_log, batch_size=batch_size, start_lsn=start_lsn
-        )
-        self.config = CascadeConfig(
+        super().__init__(
+            database,
+            qiurl_map if qiurl_map is not None else QIURLMap(),
+            policy=policy,
+            polling_budget=polling_budget,
+            use_data_cache=use_data_cache,
+            servlet_deadline=servlet_deadline,
             predicate_index=predicate_index,
             version_keys=version_keys,
             conflict_matrix=conflict_matrix,
             batch_polling=batch_polling,
             grouped_analysis=grouped_analysis,
             safety_enforcement=safety_enforcement,
+            batch_size=batch_size,
+            start_lsn=start_lsn,
         )
-        # Shared by every shard.  Registrations happen under the registry
-        # lock, so listener inserts are serialized; POLL_ONLY fingerprints
-        # are taken at pump time before batches dispatch; version-key
-        # counters are bumped by the pump before batches dispatch, and new
-        # fast-path instances are stamped with the tailer's cursor.
-        tiers = CascadeTiers.attach(
-            self.config,
-            self.registry,
-            database,
-            stamp_source=lambda: self.tailer.cursor,
-        )
-        self.safety = tiers.safety
-        self.conflict_matrix = tiers.conflict_matrix
-        self.pred_index = tiers.pred_index
-        self.version_index = tiers.version_index
+        self.metrics = metrics or PipelineMetrics()
         self.bus = bus or EjectBus(metrics=self.metrics)
         if bus is not None:
             self.bus.metrics = self.metrics
         for index, cache in enumerate(caches):
             self.bus.register(f"cache{index}", cache)
-        self.context = WorkerContext(
-            database=database,
-            registry=self.registry,
-            qiurl_map=self.qiurl_map,
-            infomgmt=self.infomgmt,
-            registry_lock=self.registry_lock,
-            db_lock=self.db_lock,
-            config=self.config,
-            tiers=tiers,
-            polling_budget=polling_budget,
-            servlet_deadline=servlet_deadline,
-        )
+        # The shard workers share this driver's registry, tiers and locks.
         self.pool = WorkerPool(
-            num_shards,
-            self.context,
-            self.bus,
-            self.metrics,
-            queue_capacity=queue_capacity,
+            num_shards, self, self.bus, self.metrics, queue_capacity=queue_capacity
         )
         self.pre_ingest = pre_ingest
         self.idle_sleep = idle_sleep
@@ -206,11 +163,6 @@ class StreamingInvalidationPipeline:
             self.bus, cluster, extra_targets=extra_targets
         )
 
-    def register_query_type(self, template_sql: str, name: Optional[str] = None):
-        """Offline registration of a known query type (§4.1.1)."""
-        with self.registry_lock:
-            return self.registration.register_query_type(template_sql, name)
-
     # -- checkpoint / recovery -------------------------------------------------
 
     def checkpoint(self, path: Union[str, Path]) -> str:
@@ -221,10 +173,8 @@ class StreamingInvalidationPipeline:
         """
         if self.pre_ingest is not None:
             self.pre_ingest()
-        with self.registry_lock:
-            self.registration.scan(self.qiurl_map.read_new())
-            payload = recovery.snapshot_pipeline(self)
-        return recovery.write_checkpoint(path, payload)
+        self.ingest_qiurl_rows()
+        return recovery.write_checkpoint(path, recovery.snapshot_pipeline(self))
 
     def restore(
         self, path: Union[str, Path], reconcile_caches: bool = True
@@ -272,22 +222,18 @@ class StreamingInvalidationPipeline:
         """Block until every change appended so far is fully invalidated:
         log tailed to head, shard queues empty, eject bus settled."""
         deadline = self._clock() + timeout
-        while self._clock() < deadline:
-            if (
-                self.tailer.at_head()
-                and self.pool.idle()
-                and self.bus.outstanding == 0
-            ):
-                return True
+
+        def settled() -> bool:
+            return (
+                self.tailer.at_head() and self.pool.idle() and not self.bus.outstanding
+            )
+
+        while not settled() and self._clock() < deadline:
             if not self._running:
                 self.process_available()
             else:
                 time.sleep(0.001)
-        return (
-            self.tailer.at_head()
-            and self.pool.idle()
-            and self.bus.outstanding == 0
-        )
+        return settled()
 
     # -- the pump -------------------------------------------------------------
 
@@ -301,17 +247,13 @@ class StreamingInvalidationPipeline:
         """One pump iteration; returns True when any work was dispatched."""
         if self.pre_ingest is not None:
             self.pre_ingest()
-        with self.registry_lock:
-            self.registration.scan(self.qiurl_map.read_new())
-        # Fingerprint new POLL_ONLY instances before dispatching their
-        # first batch.  The previous baseline may only be promoted to
-        # trusted once no worker still holds records from older batches.
-        with self.db_lock:
-            self.safety.prepare_cycle(promote=self.pool.idle())
+        # The previous POLL_ONLY baseline may only be promoted to trusted
+        # once no worker still holds records from older batches.
+        self._ingest(promote=self.pool.idle())
         batch = self.tailer.poll()
         if batch.lost:
             self.metrics.add(truncations=1)
-            self._flush_everything()
+            self.deliver(self.lose_updates())
             return True
         if not batch.records:
             return False
@@ -319,16 +261,7 @@ class StreamingInvalidationPipeline:
         self.metrics.add(
             records_tailed=len(batch.records), batches_tailed=1
         )
-        deltas = batch.deltas()
-        if self.version_index is not None:
-            # Bump-before-check: counters must reflect this batch before
-            # any worker examines one of its (instance, record) pairs.
-            self.version_index.observe(batch.records)
-        changed = set(deltas.tables())
-        # §4.3 daemon hook: stale polling results for changed tables must
-        # be dropped before any worker polls on this batch's behalf.
-        with self.db_lock:
-            self.infomgmt.on_cycle_deltas(changed)
+        deltas = self._prelude(batch)
         for table in deltas.tables():
             self.pool.submit(
                 ShardBatch(
@@ -342,19 +275,9 @@ class StreamingInvalidationPipeline:
             self.policy_engine.discover(self.registry)
         return True
 
-    def _flush_everything(self) -> None:
-        """Update-loss safety valve: eject every watched page."""
-        if self.version_index is not None:
-            # Bumps for the lost range never happened: stamps predating
-            # the resynced cursor must never be vouched for again.
-            self.version_index.note_truncation(self.tailer.cursor)
-        with self.registry_lock:
-            all_urls = self.registry.urls()
-            for url in all_urls:
-                self.qiurl_map.drop_url(url)
-                self.registry.drop_url(url)
-        if all_urls:
-            self.bus.publish(all_urls, origin_ts=self._clock())
+    def deliver(self, urls: Sequence[str]) -> None:
+        if urls:
+            self.bus.publish(list(urls), origin_ts=self._clock())
 
     # -- synchronous mode -------------------------------------------------------
 
@@ -370,19 +293,7 @@ class StreamingInvalidationPipeline:
             moved = self.pump_once()
             # run whatever the pump routed, inline, in shard order
             for worker in self.pool.workers:
-                while True:
-                    try:
-                        item = worker.queue.get_nowait()
-                    except Exception:
-                        break
-                    if item is worker._SENTINEL:  # pragma: no cover - defensive
-                        continue
-                    try:
-                        processed += len(item.records)
-                        worker.process_batch(item)
-                    finally:
-                        with worker._inflight_lock:
-                            worker._inflight -= 1
+                processed += worker.run_pending()
             while self.bus.outstanding:
                 next_due = self.bus.pump()
                 if self.bus.outstanding and next_due is not None:

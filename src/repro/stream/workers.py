@@ -23,17 +23,11 @@ import queue
 import threading
 import zlib
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.db.log import UpdateRecord
-from repro.core.invalidator.cascade import (
-    CascadeConfig,
-    CascadeCounters,
-    CascadeRun,
-    CascadeTiers,
-    VerdictCascade,
-)
-from repro.core.invalidator.updates import dedupe_records
+from repro.core.invalidator.cascade import CascadeCounters, CascadeRun
+from repro.core.invalidator.driver import InvalidationDriver, dedupe_records
 from repro.stream.bus import EjectBus
 from repro.stream.metrics import PipelineMetrics
 
@@ -45,28 +39,6 @@ class ShardBatch:
     table: str
     records: List[UpdateRecord]
     origin_ts: Optional[float] = None
-
-
-@dataclass
-class WorkerContext:
-    """Everything the shard workers share (with its locks)."""
-
-    database: object
-    registry: object
-    qiurl_map: object
-    infomgmt: object
-    registry_lock: threading.RLock
-    db_lock: threading.Lock
-    #: Which cascade tiers run (the A/B arms).
-    config: CascadeConfig
-    #: The shared registry-attached tiers.  The predicate index is probed
-    #: under the registry lock; the safety enforcer's fingerprint polls
-    #: re-execute SQL, so they run under ``db_lock``; the version-key
-    #: index and the conflict matrix are internally locked (the pump
-    #: bumps counters and registration extends proofs while workers read).
-    tiers: CascadeTiers
-    polling_budget: Optional[int] = None
-    servlet_deadline: Optional[Callable[[str], float]] = None
 
 
 def shard_for(table: str, num_shards: int) -> int:
@@ -83,28 +55,25 @@ class InvalidationWorker:
     def __init__(
         self,
         shard_id: int,
-        context: WorkerContext,
+        driver: InvalidationDriver,
         bus: EjectBus,
         metrics: PipelineMetrics,
         queue_capacity: int = 64,
     ) -> None:
         self.shard_id = shard_id
-        self.context = context
+        self.driver = driver
         self.bus = bus
         self.metrics = metrics
         self.queue: "queue.Queue" = queue.Queue(maxsize=queue_capacity)
-        self.cascade = VerdictCascade(
-            context.config,
-            context.registry,
-            context.infomgmt,
-            context.tiers,
-            polling_budget=context.polling_budget,
-            servlet_deadline=context.servlet_deadline,
-            registry_lock=context.registry_lock,
-            db_lock=context.db_lock,
+        # The predicate index is probed under the registry lock; polls
+        # and fingerprint re-executions run under the database lock; the
+        # version-key index and the conflict matrix lock internally (the
+        # pump bumps counters and registration extends proofs while
+        # workers read).
+        self.cascade = driver.new_cascade(
+            registry_lock=driver.registry_lock, db_lock=driver.db_lock
         )
         self.scheduler = self.cascade.scheduler
-        self.polling = self.cascade.polling
         self.batch_poller = self.cascade.batch_poller
         self.batches_processed = 0
         self.records_processed = 0
@@ -154,11 +123,27 @@ class InvalidationWorker:
             item = self.queue.get()
             if item is self._SENTINEL:
                 break
+            self._process(item)
+
+    def run_pending(self) -> int:
+        """Process every queued batch in the caller's thread (the
+        threadless pump); returns the records processed."""
+        processed = 0
+        while True:
             try:
-                self.process_batch(item)
-            finally:
-                with self._inflight_lock:
-                    self._inflight -= 1
+                item = self.queue.get_nowait()
+            except queue.Empty:
+                return processed
+            if item is not self._SENTINEL:
+                processed += len(item.records)
+                self._process(item)
+
+    def _process(self, batch: ShardBatch) -> None:
+        try:
+            self.process_batch(batch)
+        finally:
+            with self._inflight_lock:
+                self._inflight -= 1
 
     # -- the per-batch invalidation cycle ------------------------------------------
 
@@ -188,10 +173,7 @@ class InvalidationWorker:
             # per-relation ordering guarantee end to end.
             urls = list(run.urls)
             self.bus.publish(urls, origin_ts=batch.origin_ts)
-            with self.context.registry_lock:
-                for url in urls:
-                    self.context.qiurl_map.drop_url(url)
-                    self.context.registry.drop_url(url)
+            self.driver.unwatch(urls)
 
 
 class WorkerPool:
@@ -200,7 +182,7 @@ class WorkerPool:
     def __init__(
         self,
         num_shards: int,
-        context: WorkerContext,
+        driver: InvalidationDriver,
         bus: EjectBus,
         metrics: PipelineMetrics,
         queue_capacity: int = 64,
@@ -210,7 +192,7 @@ class WorkerPool:
         self.num_shards = num_shards
         self.workers = [
             InvalidationWorker(
-                shard_id, context, bus, metrics, queue_capacity=queue_capacity
+                shard_id, driver, bus, metrics, queue_capacity=queue_capacity
             )
             for shard_id in range(num_shards)
         ]

@@ -106,8 +106,18 @@ class DataCache:
         this call (one log read per interval, per cache) is the
         ``data_cache_synch_cost`` of the paper's parameter table.
         """
-        records = self.database.update_log.read_since(self._sync_lsn)
+        log = self.database.update_log
         self.stats.synchronizations += 1
+        try:
+            records = log.read_since(self._sync_lsn)
+        except ValueError:
+            # The log wrapped past the cursor: which tables changed is
+            # unknowable, so no cached result can be trusted.
+            invalidated = len(self._entries)
+            self.clear()
+            self._sync_lsn = max(log.last_lsn, log.oldest_lsn - 1)
+            self.stats.invalidations += invalidated
+            return invalidated
         self.stats.sync_records_seen += len(records)
         if records:
             self._sync_lsn = records[-1].lsn

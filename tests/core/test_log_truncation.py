@@ -79,7 +79,7 @@ class TestTruncationSafetyValve:
         db, cache, invalidator = build(log_capacity=2)
         self.overflow(db)
         invalidator.run_cycle()
-        assert invalidator.updates.truncations_hit == 1
+        assert invalidator.tailer.truncations == 1
 
 
 class TestGroupByValidation:
