@@ -103,6 +103,11 @@ _EMPTY_SCOPE = Scope([])
 def fold_constant(expr: ast.Expr, bindings: Tuple[Value, ...] = ()):
     """Bind and fold a column-free expression to its value, or
     :data:`UNEVALUABLE` (the checker skips what it cannot evaluate)."""
+    if isinstance(expr, ast.Parameter) and expr.index is not None:
+        # What binding then evaluating the bare parameter yields.
+        if 1 <= expr.index <= len(bindings):
+            return bindings[expr.index - 1]
+        return UNEVALUABLE
     try:
         return evaluate(bind_expression(expr, bindings), (), _EMPTY_SCOPE)
     except ReproError:

@@ -154,7 +154,6 @@ class CascadeTiers:
         registry,
         database,
         stamp_source: Callable[[], int],
-        analysis_for=None,
     ) -> "CascadeTiers":
         """Build the tiers ``config`` enables and attach them to
         ``registry``.  The matrix attaches before the index so its
@@ -172,16 +171,16 @@ class CascadeTiers:
                 except ReproError:
                     return None  # unknown table: the matrix refuses the drop
 
-            tiers.conflict_matrix = ConflictMatrix(
-                analysis_for=analysis_for, columns_of=columns_of
-            ).attach_to(registry)
+            tiers.conflict_matrix = ConflictMatrix(columns_of=columns_of).attach_to(
+                registry
+            )
         if config.predicate_index:
             tiers.pred_index = PredicateIndex(
-                analysis_for=analysis_for, conflict=tiers.conflict_matrix
+                conflict=tiers.conflict_matrix
             ).attach_to(registry)
         if config.version_keys:
             tiers.version_index = VersionKeyIndex(
-                analysis_for=analysis_for, stamp_source=stamp_source
+                stamp_source=stamp_source
             ).attach_to(registry)
         return tiers
 

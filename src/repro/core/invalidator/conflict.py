@@ -72,12 +72,12 @@ from repro.sql.satisfiability import (
     Extraction,
     Verdict,
     _compare,
+    admits_no_row,
     check_disjoint,
     extract,
     scoped_resolver,
     verify_certificate,
 )
-from repro.core.invalidator.grouping import GroupedChecker, TypeAnalysis
 from repro.core.invalidator.registration import (
     QueryInstance,
     QueryType,
@@ -193,9 +193,6 @@ class ConflictMatrix(RegistryListener):
     """Registration-time disjointness classification, queried per pair.
 
     Args:
-        analysis_for: optional shared ``QueryType → TypeAnalysis``
-            provider (e.g. ``GroupedChecker.analysis_for``) so type
-            decompositions are computed once per process.
         columns_of: optional ``table → column names`` schema accessor.
             Required only for :meth:`index_drop` — a predicate-index
             drop must hold for *every* future record, which is only
@@ -205,18 +202,15 @@ class ConflictMatrix(RegistryListener):
 
     def __init__(
         self,
-        analysis_for: Optional[Callable[[QueryType], TypeAnalysis]] = None,
         columns_of: Optional[Callable[[str], Optional[List[str]]]] = None,
     ) -> None:
         self._lock = threading.RLock()
-        self._analysis_for = analysis_for or GroupedChecker().analysis_for
         self._columns_of = columns_of
         self._classes: Dict[str, UpdateClass] = {}
         self._classes_by_table: Dict[str, Dict[str, UpdateClass]] = {}
         self._cells: Dict[Tuple[int, str], Cell] = {}
         #: class name → instance_id → proof (None: tried, no proof).
         self._instance_proofs: Dict[str, Dict[int, Optional[_InstanceProof]]] = {}
-        self._instance_extractions: Dict[int, Optional[Dict[str, Extraction]]] = {}
         self._template_extractions: Dict[int, Dict[str, Extraction]] = {}
         self._constant_false: Set[int] = set()
         self._types_seen: Dict[int, QueryType] = {}
@@ -258,7 +252,6 @@ class ConflictMatrix(RegistryListener):
         with self._lock:
             iid = instance.instance_id
             self._constant_false.discard(iid)
-            self._instance_extractions.pop(iid, None)
             for proofs in self._instance_proofs.values():
                 proofs.pop(iid, None)
             for table in instance.query_type.tables:
@@ -396,7 +389,7 @@ class ConflictMatrix(RegistryListener):
             SafetyVerdict.VERSION_KEY,
         ):
             return f"safety-enforced ({safety.verdict.name})"
-        analysis = self._analysis_for(query_type)
+        analysis = query_type.analysis
         if analysis.is_union:
             return "union: coarse analysis"
         if analysis.has_left_join:
@@ -404,12 +397,7 @@ class ConflictMatrix(RegistryListener):
         return None
 
     def _bindings_for(self, query_type: QueryType, table: str) -> List[str]:
-        analysis = self._analysis_for(query_type)
-        return [
-            binding
-            for binding, base in analysis.aliases.items()
-            if base == table
-        ]
+        return query_type.analysis.bindings_by_table.get(table, [])
 
     def _template_extraction(
         self, query_type: QueryType, binding: str
@@ -419,12 +407,8 @@ class ConflictMatrix(RegistryListener):
         )
         extraction = per_binding.get(binding)
         if extraction is None:
-            analysis = self._analysis_for(query_type)
-            extraction = extract(
-                analysis.by_binding[binding].local_templates,
-                bindings=None,
-                resolve=scoped_resolver(binding),
-            )
+            analysis = query_type.analysis
+            extraction = analysis.by_binding[binding].extraction(None)
             per_binding[binding] = extraction
         return extraction
 
@@ -499,13 +483,7 @@ class ConflictMatrix(RegistryListener):
         UNAFFECTED for every record, so every class is skippable."""
         if self._type_guard(instance.query_type) is not None:
             return False
-        analysis = self._analysis_for(instance.query_type)
-        from repro.sql.satisfiability import _fold_constant
-
-        for template in analysis.constant_templates:
-            if _fold_constant(template, instance.bindings) is False:
-                return True
-        return False
+        return instance.bound.constant_false
 
     def _instance_extraction(
         self, instance: QueryInstance
@@ -513,33 +491,9 @@ class ConflictMatrix(RegistryListener):
         """Per-binding extraction with the instance's bindings folded
         in, or None when the instance is ineligible (guards fire or the
         templates do not bind — the checker is conservative there)."""
-        iid = instance.instance_id
-        if iid in self._instance_extractions:
-            return self._instance_extractions[iid]
-        result: Optional[Dict[str, Extraction]] = None
-        if self._type_guard(instance.query_type) is None:
-            analysis = self._analysis_for(instance.query_type)
-            from repro.sql.params import bind_expression
-
-            try:
-                for binding_analysis in analysis.by_binding.values():
-                    for template in binding_analysis.local_templates:
-                        bind_expression(template, instance.bindings)
-                    for template in binding_analysis.residual_templates:
-                        bind_expression(template, instance.bindings)
-            except ReproError:
-                result = None  # unbindable: checker returns AFFECTED
-            else:
-                result = {
-                    binding: extract(
-                        binding_analysis.local_templates,
-                        bindings=instance.bindings,
-                        resolve=scoped_resolver(binding),
-                    )
-                    for binding, binding_analysis in analysis.by_binding.items()
-                }
-        self._instance_extractions[iid] = result
-        return result
+        if self._type_guard(instance.query_type) is not None:
+            return None
+        return instance.bound.extraction()
 
     def _instance_proof(
         self, instance: QueryInstance, class_name: str
@@ -562,6 +516,12 @@ class ConflictMatrix(RegistryListener):
             return None
         bindings = self._bindings_for(instance.query_type, update_class.table)
         if not bindings:
+            return None
+        if not update_class.atoms and not all(
+            admits_no_row(extractions[binding]) for binding in bindings
+        ):
+            # Against a class without constraints (a per-kind default)
+            # a binding is disjoint only when its own region is empty.
             return None
         proved = self._prove(update_class, bindings, extractions.__getitem__)
         if isinstance(proved, Cell):

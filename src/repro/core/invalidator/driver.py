@@ -218,7 +218,6 @@ class InvalidationDriver:
         servlet_deadline: Optional[Callable[[str], float]] = None,
         batch_size: int = 256,
         start_lsn: Optional[int] = None,
-        analysis_for: Optional[Callable[..., Any]] = None,
         **tier_flags: bool,
     ) -> None:
         self.database = database
@@ -245,7 +244,6 @@ class InvalidationDriver:
             self.registry,
             database,
             stamp_source=lambda: self.tailer.cursor,
-            analysis_for=analysis_for,
         )
         self.safety = self.tiers.safety
         self.conflict_matrix = self.tiers.conflict_matrix

@@ -90,7 +90,6 @@ class Invalidator(InvalidationDriver):
             batch_polling=batch_polling,
             grouped_analysis=grouped_analysis,
             safety_enforcement=safety_enforcement,
-            analysis_for=self.grouped_checker.analysis_for,
         )
         self.cascade = self.new_cascade(grouped_checker=self.grouped_checker)
         self.scheduler = self.cascade.scheduler

@@ -54,15 +54,15 @@ from __future__ import annotations
 import time
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.errors import ReproError
 from repro.db.log import UpdateRecord
 from repro.db.types import SortKey, Value, sql_compare
-from repro.sql import ast
-from repro.sql.params import bind_expression
-from repro.core.invalidator.analysis import UNEVALUABLE, fold_constant
-from repro.core.invalidator.grouping import GroupedChecker, IndexableConjunct, TypeAnalysis
+from repro.core.invalidator.grouping import (
+    IntervalSpec,
+    Probe,
+    TypeAnalysis,
+)
 from repro.core.invalidator.registration import (
     QueryInstance,
     RegistryListener,
@@ -151,104 +151,6 @@ class _NullColumn:
         self.notnull_entries.pop(instance_id, None)
 
 
-#: Interval spec: (low, low_incl, high, high_incl, has_low, has_high).
-_IntervalSpec = Tuple[Value, bool, Value, bool, bool, bool]
-
-#: A folded probe: ("hash", column, values) | ("interval", column, spec) |
-#: ("isnull", column, negated).
-Probe = Tuple[str, str, object]
-
-
-def fold_probe(
-    conjuncts: Sequence[IndexableConjunct], bindings: Tuple[Value, ...]
-) -> Optional[Probe]:
-    """Fold the best-ranked foldable conjunct into a probe structure.
-
-    ``conjuncts`` come best-pruning kind first.  Equality and IN-lists
-    become hash keys; a range conjunct becomes an interval, intersected
-    with every other foldable range on the same column, so ``price >= ?
-    AND price < ?`` probes as one bounded interval rather than a half
-    line.  None when nothing folds to constants.  Shared by the
-    predicate index (check-time candidates) and the version-key index
-    (bump-time candidates), which must honour the same soundness cases.
-    """
-    for position, conjunct in enumerate(conjuncts):
-        folded = _fold_one(conjunct, bindings)
-        if folded is None:
-            continue
-        if folded[0] != "interval":
-            return folded
-        spec = folded[2]
-        for other in conjuncts[position + 1 :]:
-            if other.kind == "range" and other.column == conjunct.column:
-                more = _fold_one(other, bindings)
-                if more is not None:
-                    spec = _intersect(spec, more[2])
-        return ("interval", conjunct.column, spec)
-    return None
-
-
-def _fold_one(conjunct: IndexableConjunct, bindings: Tuple[Value, ...]) -> Optional[Probe]:
-    template = conjunct.template
-    if conjunct.kind == "isnull":
-        return ("isnull", conjunct.column, conjunct.negated)
-    if conjunct.kind == "in":
-        values = []
-        for item in template.items:
-            value = fold_constant(item, bindings)
-            if value is UNEVALUABLE:
-                return None
-            values.append(value)
-        return ("hash", conjunct.column, tuple(values))
-    if isinstance(template, ast.Between):
-        low = fold_constant(template.low, bindings)
-        high = fold_constant(template.high, bindings)
-        if low is UNEVALUABLE or high is UNEVALUABLE:
-            return None
-        return ("interval", conjunct.column, (low, True, high, True, True, True))
-    # Binary comparison; conjunct.op is normalized (column on the left),
-    # but the template keeps its original orientation.
-    left_is_column = isinstance(template.left, ast.ColumnRef)
-    bound = fold_constant(template.right if left_is_column else template.left, bindings)
-    if bound is UNEVALUABLE:
-        return None
-    if conjunct.kind == "eq":
-        return ("hash", conjunct.column, (bound,))
-    op = conjunct.op
-    if op is ast.BinaryOp.LT:
-        spec = (None, False, bound, False, False, True)
-    elif op is ast.BinaryOp.LE:
-        spec = (None, False, bound, True, False, True)
-    elif op is ast.BinaryOp.GT:
-        spec = (bound, False, None, False, True, False)
-    else:  # GE
-        spec = (bound, True, None, False, True, False)
-    return ("interval", conjunct.column, spec)
-
-
-def _intersect(a: _IntervalSpec, b: _IntervalSpec) -> _IntervalSpec:
-    """The interval both specs admit.  A NULL bound on either side can
-    never compare TRUE, so it survives (the entry stays unreachable)."""
-    low, low_incl, has_low = _tighter(a[0], a[1], a[4], b[0], b[1], b[4], 1)
-    high, high_incl, has_high = _tighter(a[2], a[3], a[5], b[2], b[3], b[5], -1)
-    return (low, low_incl, high, high_incl, has_low, has_high)
-
-
-def _tighter(value_a, incl_a, has_a, value_b, incl_b, has_b, direction):
-    """The tighter of two bounds: the larger low (direction 1) or the
-    smaller high (direction -1); on a tie, strict beats inclusive."""
-    if not has_b:
-        return value_a, incl_a, has_a
-    if not has_a:
-        return value_b, incl_b, has_b
-    if value_a is None or value_b is None:
-        return None, False, True
-    order = sql_compare(value_a, value_b)
-    if order == 0:
-        return value_a, incl_a and incl_b, True
-    return (value_a, incl_a, True) if order == direction else (value_b, incl_b, True)
-
-
 class _IntervalColumn:
     """Range / BETWEEN entries for one (table, column).
 
@@ -274,7 +176,7 @@ class _IntervalColumn:
         self.placement: Dict[int, tuple] = {}
         self._seq = 0
 
-    def add(self, instance: QueryInstance, spec: _IntervalSpec) -> None:
+    def add(self, instance: QueryInstance, spec: IntervalSpec) -> None:
         low, low_incl, high, high_incl, has_low, has_high = spec
         iid = instance.instance_id
         self.members[iid] = instance
@@ -349,11 +251,15 @@ class _ProbeStructures:
             return
         mode, column, payload = probe
         if mode == "hash":
-            self.hash_cols.setdefault(column, _HashColumn()).add(member, payload)
+            structures, kind = self.hash_cols, _HashColumn
         elif mode == "interval":
-            self.interval_cols.setdefault(column, _IntervalColumn()).add(member, payload)
+            structures, kind = self.interval_cols, _IntervalColumn
         else:
-            self.null_cols.setdefault(column, _NullColumn()).add(member, payload)
+            structures, kind = self.null_cols, _NullColumn
+        structure = structures.get(column)
+        if structure is None:
+            structure = structures[column] = kind()
+        structure.add(member, payload)
 
     def unplace(self, member_id: int, probe: Optional["Probe"]) -> None:
         if probe is None:
@@ -450,11 +356,10 @@ def _composition_of(entry: _Entry) -> str:
 class PredicateIndex(RegistryListener):
     """Update → candidate-instance index over a query registry.
 
+    Type decompositions come from :attr:`QueryType.analysis` (computed
+    once per type) and per-instance facts from :attr:`QueryInstance.bound`.
+
     Args:
-        analysis_for: optional shared ``QueryType → TypeAnalysis``
-            provider (e.g. ``GroupedChecker.analysis_for``) so type
-            decompositions are computed once per process, not per
-            consumer.
         conflict: optional
             :class:`~repro.core.invalidator.conflict.ConflictMatrix`.
             When it proves an instance disjoint from *every* possible
@@ -462,9 +367,8 @@ class PredicateIndex(RegistryListener):
             in a never-matching entry instead of any probe structure.
     """
 
-    def __init__(self, analysis_for=None, conflict=None) -> None:
+    def __init__(self, conflict=None) -> None:
         self._tables: Dict[str, _TableIndex] = {}
-        self._analysis_for = analysis_for or GroupedChecker().analysis_for
         self._conflict = conflict
         self._composition: Dict[str, int] = dict.fromkeys(_COMPOSITION, 0)
         # Probe counters.
@@ -476,10 +380,13 @@ class PredicateIndex(RegistryListener):
     # -- registry listener protocol ------------------------------------------
 
     def instance_registered(self, instance: QueryInstance) -> None:
-        analysis = self._analysis_for(instance.query_type)
+        analysis = instance.query_type.analysis
         for table in instance.query_type.tables:
             entry = self._classify(instance, analysis, table)
-            self._tables.setdefault(table, _TableIndex()).add(entry)
+            table_index = self._tables.get(table)
+            if table_index is None:
+                table_index = self._tables[table] = _TableIndex()
+            table_index.add(entry)
             self._composition[_composition_of(entry)] += 1
 
     def instance_dropped(self, instance: QueryInstance) -> None:
@@ -556,29 +463,21 @@ class PredicateIndex(RegistryListener):
             return _Entry(instance, "residual")
         if analysis.is_union or analysis.has_left_join:
             return _Entry(instance, "residual")
-        if table not in set(analysis.aliases.values()):
+        bindings = analysis.bindings_by_table.get(table)
+        if bindings is None:
             return _Entry(instance, "residual")  # subquery-only: conservative
-        bindings = [
-            binding for binding, base in analysis.aliases.items() if base == table
-        ]
         if len(bindings) != 1:
             # Self-join: UNAFFECTED requires *every* occurrence to fail a
             # local conjunct; one probe structure cannot prove that.
             return _Entry(instance, "residual")
-        binding_analysis = analysis.by_binding[bindings[0]]
+        bound = instance.bound
         # Checker parity: when any template of this binding is unbindable
         # the grouped checker abandons local pruning for the instance
         # (conservative AFFECTED path), so the index must not prune either.
-        try:
-            for template in binding_analysis.local_templates:
-                bind_expression(template, instance.bindings)
-            for template in binding_analysis.residual_templates:
-                bind_expression(template, instance.bindings)
-        except ReproError:
+        if not bound.bindable:
             return _Entry(instance, "residual")
-        for template in analysis.constant_templates:
-            if fold_constant(template, instance.bindings) is False:
-                return _Entry(instance, "never")
+        if bound.constant_false:
+            return _Entry(instance, "never")
         if self._conflict is not None and self._conflict.index_drop(
             instance, table
         ):
@@ -586,7 +485,7 @@ class PredicateIndex(RegistryListener):
             # every record the table can ever log: no probe structure
             # needed, the entry only participates in bulk accounting.
             return _Entry(instance, "static")
-        folded = fold_probe(binding_analysis.probe_templates, instance.bindings)
+        folded = bound.probe(bindings[0])
         if folded is None:
             return _Entry(instance, "residual")
         return _Entry(instance, folded[0], folded)

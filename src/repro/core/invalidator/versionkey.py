@@ -59,15 +59,15 @@ from repro.errors import ReproError
 from repro.db.expr import Scope
 from repro.db.log import UpdateRecord
 from repro.sql import ast
-from repro.sql.params import bind_expression
+from repro.sql.params import Value, bind_expression
 from repro.sql.printer import to_sql
-from repro.core.invalidator.analysis import first_failing, fold_constant
-from repro.core.invalidator.grouping import GroupedChecker, TypeAnalysis
+from repro.core.invalidator.analysis import first_failing
+from repro.core.invalidator.grouping import TypeAnalysis
 # The probe structures are shared with the predicate index on purpose:
 # candidate discovery at bump time must honour exactly the same
 # missing-column / NULL-value soundness cases as candidate discovery at
 # check time, so the same implementation serves both.
-from repro.core.invalidator.predindex import _ProbeStructures, fold_probe
+from repro.core.invalidator.predindex import _ProbeStructures
 from repro.core.invalidator.registration import (
     QueryInstance,
     RegistryListener,
@@ -139,44 +139,93 @@ def upgrade_classification(
     )
 
 
+#: One conjunct of a key's region: the conjunct template with its
+#: parameters printed as ``?``, and the type-tagged values they take.
+_RegionPart = Tuple[str, Tuple[Tuple[str, Value], ...]]
+
+
+def _conjunct_shape(template: ast.Expr) -> Tuple[str, Optional[Tuple[int, ...]]]:
+    """A conjunct template printed with anonymous parameters, plus the
+    binding positions those parameters read, in walk order.  Positions
+    are None for a conjunct with a subquery, whose parameters the walk
+    does not reach."""
+    if any(True for _ in ast.subqueries(template)):
+        return "", None
+    positions: List[int] = []
+
+    def leaf(node: ast.Expr) -> ast.Expr:
+        if isinstance(node, ast.Parameter) and node.index is not None:
+            positions.append(node.index - 1)
+            return ast.Parameter(None)
+        return node
+
+    return to_sql(ast.map_scalar(template, leaf)), tuple(positions)
+
+
 class _Key:
     """One refcounted version counter for a predicate region.
 
     ``instance_id`` is the key's own integer id — named so the key can
     duck-type into the predicate index's probe structures, which index
-    their members by that attribute.
+    their members by that attribute.  The region's bound conjuncts and
+    its printed ``canonical`` form are built on first read: bumps
+    evaluate the former, checkpoints name the key by the latter.
     """
 
     __slots__ = (
         "instance_id",
-        "canonical",
+        "ident",
         "table",
         "binding",
-        "conjuncts",
+        "templates",
+        "bindings",
         "probe",
         "last_bump_lsn",
         "refs",
+        "_conjuncts",
+        "_canonical",
     )
 
     def __init__(
         self,
         key_id: int,
-        canonical: str,
+        ident: Tuple,
         table: str,
         binding: str,
-        conjuncts: List[ast.Expr],
+        templates: List[ast.Expr],
+        bindings: Tuple[Value, ...],
         probe: Optional[Tuple],
     ) -> None:
         self.instance_id = key_id
-        self.canonical = canonical
+        self.ident = ident
         self.table = table
         self.binding = binding
-        self.conjuncts = conjuncts
+        self.templates = templates
+        self.bindings = bindings
         #: ("hash", column, values) | ("interval", column, spec) |
         #: ("isnull", column, negated) | None (always a bump candidate).
         self.probe = probe
         self.last_bump_lsn = 0
         self.refs: Set[int] = set()
+        self._conjuncts: Optional[List[ast.Expr]] = None
+        self._canonical: Optional[str] = None
+
+    @property
+    def conjuncts(self) -> List[ast.Expr]:
+        if self._conjuncts is None:
+            self._conjuncts = [
+                bind_expression(template, self.bindings) for template in self.templates
+            ]
+        return self._conjuncts
+
+    @property
+    def canonical(self) -> str:
+        if self._canonical is None:
+            self._canonical = "{}|{}".format(
+                self.table,
+                " AND ".join(sorted(to_sql(conjunct) for conjunct in self.conjuncts)),
+            )
+        return self._canonical
 
 
 class _TableKeys(_ProbeStructures):
@@ -203,20 +252,20 @@ class VersionKeyIndex(RegistryListener):
     """Monotone version counters over the VERSION_KEY instance class.
 
     Args:
-        analysis_for: optional shared ``QueryType → TypeAnalysis``
-            provider (e.g. ``GroupedChecker.analysis_for``).
         stamp_source: zero-argument callable returning the consumer's
             current update cursor; newly registered fast-path instances
             are stamped with it.  ``None`` leaves stamps unset (the
             index then never vouches — restore overlays real stamps).
     """
 
-    def __init__(self, analysis_for=None, stamp_source=None) -> None:
+    def __init__(self, stamp_source=None) -> None:
         self._lock = threading.RLock()
-        self._analysis_for = analysis_for or GroupedChecker().analysis_for
         self._stamp_source = stamp_source
         self._key_ids = itertools.count(1)
-        self._keys: Dict[str, _Key] = {}
+        self._keys: Dict[Tuple, _Key] = {}
+        #: Type signature → local conjunct shapes (see _conjunct_shape),
+        #: or None when the type does not qualify for a key.
+        self._shapes: Dict[str, Optional[List[Tuple[str, Optional[Tuple[int, ...]]]]]] = {}
         self._key_of: Dict[int, _Key] = {}
         #: Instances whose bound WHERE is provably constant-false: no
         #: update can ever affect them, so they are fresh forever.
@@ -266,7 +315,7 @@ class VersionKeyIndex(RegistryListener):
         with self._lock:
             if self._stamp_source is not None:
                 instance.version_stamp_lsn = int(self._stamp_source())
-            analysis = self._analysis_for(instance.query_type)
+            analysis = instance.query_type.analysis
             built = self._build_key_parts(instance, analysis)
             if built == "never":
                 self._never.add(instance.instance_id)
@@ -279,14 +328,23 @@ class VersionKeyIndex(RegistryListener):
                 self.instances_unkeyed += 1
                 self._track(instance)
                 return
-            canonical, table, binding, conjuncts, probe = built
-            key = self._keys.get(canonical)
+            ident, table, binding, templates, probe = built
+            key = self._keys.get(ident)
             if key is None:
                 key = _Key(
-                    next(self._key_ids), canonical, table, binding, conjuncts, probe
+                    next(self._key_ids),
+                    ident,
+                    table,
+                    binding,
+                    templates,
+                    instance.bindings,
+                    probe,
                 )
-                self._keys[canonical] = key
-                self._tables.setdefault(table, _TableKeys()).add(key)
+                self._keys[ident] = key
+                table_keys = self._tables.get(table)
+                if table_keys is None:
+                    table_keys = self._tables[table] = _TableKeys()
+                table_keys.add(key)
             key.refs.add(instance.instance_id)
             self._key_of[instance.instance_id] = key
             self._track(instance)
@@ -305,7 +363,7 @@ class VersionKeyIndex(RegistryListener):
             key.refs.discard(iid)
             if key.refs:
                 return
-            del self._keys[key.canonical]
+            del self._keys[key.ident]
             table_keys = self._tables.get(key.table)
             if table_keys is not None:
                 table_keys.remove(key)
@@ -472,8 +530,7 @@ class VersionKeyIndex(RegistryListener):
                 "floor": self._floor,
                 "coarse": dict(self._coarse),
                 "keys": {
-                    canonical: key.last_bump_lsn
-                    for canonical, key in self._keys.items()
+                    key.canonical: key.last_bump_lsn for key in self._keys.values()
                 },
             }
 
@@ -540,35 +597,55 @@ class VersionKeyIndex(RegistryListener):
 
         Returns ``"never"`` for a provably constant-false instance,
         ``None`` when no sound key exists (the instance stays on the
-        precise checker), or ``(canonical, table, binding, conjuncts,
-        probe)``.
+        precise checker), or ``(ident, table, binding, templates,
+        probe)``.  ``ident`` names the predicate region: the table plus
+        each local conjunct's shape and the values its parameters take,
+        so instances of different types over one WHERE share a key.
         """
-        if not analysis_qualifies(analysis):
+        signature = instance.query_type.signature
+        if signature not in self._shapes:
+            self._shapes[signature] = (
+                [
+                    _conjunct_shape(template)
+                    for template in next(iter(analysis.by_binding.values())).local_templates
+                ]
+                if analysis_qualifies(analysis)
+                else None
+            )
+        shapes = self._shapes[signature]
+        if shapes is None:
             return None  # defensive: verdicts and analyses agree in practice
         binding_analysis = next(iter(analysis.by_binding.values()))
-        for template in analysis.constant_templates:
-            if fold_constant(template, instance.bindings) is False:
-                return "never"
-        try:
-            conjuncts = [
-                bind_expression(template, instance.bindings)
-                for template in binding_analysis.local_templates
-            ]
-        except ReproError:
+        bound = instance.bound
+        if bound.constant_false:
+            return "never"
+        if not bound.bindable:
             # Unbindable: the checker treats every touching record as
             # AFFECTED, and so must we — no counter can prove otherwise.
             return None
-        probe = fold_probe(binding_analysis.indexable_templates, instance.bindings)
-        canonical = "{}|{}".format(
-            binding_analysis.base_table,
-            " AND ".join(sorted(to_sql(conjunct) for conjunct in conjuncts)),
-        )
+        bindings = instance.bindings
+        parts: List[_RegionPart] = []
+        for (text, positions), template in zip(shapes, binding_analysis.local_templates):
+            if positions is None:
+                # Name a subquery conjunct's region by its bound text.
+                parts.append((to_sql(bind_expression(template, bindings)), ()))
+                continue
+            parts.append(
+                (
+                    text,
+                    tuple(
+                        (type(bindings[position]).__name__, bindings[position])
+                        for position in positions
+                    ),
+                )
+            )
+        parts.sort()
         return (
-            canonical,
+            (binding_analysis.base_table, tuple(parts)),
             binding_analysis.base_table,
             binding_analysis.binding,
-            conjuncts,
-            probe,
+            binding_analysis.local_templates,
+            bound.probe(binding_analysis.binding),
         )
 
     def _matches(self, key: _Key, tuple_values: Dict) -> bool:

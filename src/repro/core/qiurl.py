@@ -1,17 +1,25 @@
 """The QI/URL map: query instances ↔ page URLs (paper §2.4).
 
-Each row associates one query instance (a bound SELECT, stored as
-canonical SQL text) with one page URL that was generated using its
-results, plus the request metadata the invalidator needs.  The map is the
-hand-off point between the sniffer (producer) and the invalidator
-(consumer); the two sides are asynchronous, so the map supports cursors.
+Each row associates one query instance (a bound SELECT) with one page
+URL that was generated using its results, plus the request metadata the
+invalidator needs.  The map is the hand-off point between the sniffer
+(producer) and the invalidator (consumer); the two sides are
+asynchronous, so the map supports cursors.
+
+Rows are keyed by the instance's identity — its query type signature and
+canonical bindings (:mod:`repro.core.discovery`) — not by printed SQL:
+an instance's text is printed only when something reads ``sql``
+(checkpoints, ``repro analyze``, tests).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+from repro.core.discovery import InstanceForm, InstanceKey, discover
+from repro.sql.params import Value
 
 
 @dataclass(frozen=True)
@@ -20,32 +28,37 @@ class QIURLEntry:
 
     Attributes:
         entry_id: unique row id.
-        sql: canonical text of the bound query instance.
+        form: the query instance (type plus canonical bindings).
         url_key: the page identifier (host + keyed parameters).
         servlet: name of the servlet that generated the page.
         mapped_at: when the sniffer created this row.
     """
 
     entry_id: int
-    sql: str
+    form: InstanceForm
     url_key: str
     servlet: str
     mapped_at: float
+
+    @property
+    def sql(self) -> str:
+        """Canonical text of the bound query instance (built on first read)."""
+        return self.form.sql
 
 
 class QIURLMap:
     """Append-mostly store of QI/URL rows with de-duplication.
 
-    Rows are unique per (sql, url_key): re-generating the same page from
-    the same query refreshes nothing.  Consumers read new rows through
-    :meth:`read_new`, which tracks a per-map cursor (the invalidator is
-    the only consumer in practice).
+    Rows are unique per (instance, url_key): re-generating the same page
+    from the same query refreshes nothing.  Consumers read new rows
+    through :meth:`read_new`, which tracks a per-map cursor (the
+    invalidator is the only consumer in practice).
     """
 
     def __init__(self) -> None:
         self._rows: List[QIURLEntry] = []
-        self._by_pair: Dict[Tuple[str, str], QIURLEntry] = {}
-        self._by_url: Dict[str, Set[Tuple[str, str]]] = {}
+        self._by_pair: Dict[Tuple[InstanceKey, str], QIURLEntry] = {}
+        self._by_url: Dict[str, Set[Tuple[InstanceKey, str]]] = {}
         self._ids = itertools.count(1)
         self._cursor = 0
 
@@ -53,15 +66,23 @@ class QIURLMap:
         return len(self._by_pair)
 
     def add(
-        self, sql: str, url_key: str, servlet: str, mapped_at: float = 0.0
+        self,
+        template: str,
+        url_key: str,
+        servlet: str,
+        mapped_at: float = 0.0,
+        bindings: Sequence[Value] = (),
     ) -> Optional[QIURLEntry]:
-        """Add one row; returns None when the (sql, url) pair already exists."""
-        pair = (sql, url_key)
+        """Add one row for the instance ``template`` executed with
+        ``bindings`` denotes (literal SQL takes no bindings); returns
+        None when the (instance, url) pair already exists."""
+        form = discover(template, bindings)
+        pair = (form.key, url_key)
         if pair in self._by_pair:
             return None
         entry = QIURLEntry(
             entry_id=next(self._ids),
-            sql=sql,
+            form=form,
             url_key=url_key,
             servlet=servlet,
             mapped_at=mapped_at,
@@ -72,14 +93,14 @@ class QIURLMap:
         return entry
 
     def _is_live(self, row: QIURLEntry) -> bool:
-        """True when ``row`` is the current entry for its (sql, url) pair.
+        """True when ``row`` is the current entry for its (instance, url) pair.
 
         Membership of the pair alone is not enough: after a drop and a
         re-add of the same pair, the dead predecessor row still sits in
         ``_rows`` with a live pair — only the row ``_by_pair`` actually
         points at is live.
         """
-        return self._by_pair.get((row.sql, row.url_key)) is row
+        return self._by_pair.get((row.form.key, row.url_key)) is row
 
     def read_new(self) -> List[QIURLEntry]:
         """Rows appended since the previous call (the consumer cursor)."""

@@ -150,10 +150,11 @@ class RequestToQueryMapper:
                 matched.sort(key=_query_order)
             for query in matched:
                 entry = self.qiurl_map.add(
-                    sql=query.sql,
-                    url_key=request.url_key,
-                    servlet=request.servlet,
-                    mapped_at=request.delivery_time,
+                    query.template,
+                    request.url_key,
+                    request.servlet,
+                    request.delivery_time,
+                    query.bindings,
                 )
                 if entry is not None:
                     written += 1

@@ -21,7 +21,7 @@ from repro.db.dbapi import Connection
 from repro.web.http import CacheControl, HttpRequest, HttpResponse
 from repro.web.servlet import Servlet
 from repro.web.urlkey import page_key
-from repro.core.sniffer.logs import RequestLog, RequestLogRecord, encode_params
+from repro.core.sniffer.logs import RequestLog, RequestLogRecord
 
 
 class RequestLoggingServlet(Servlet):
@@ -82,13 +82,14 @@ class RequestLoggingServlet(Servlet):
                 request_id=next(self._ids),
                 servlet=self.inner.name,
                 url_key=page_key(request, self.inner.key_spec),
-                request_string=f"{request.path}?{encode_params(request.get_params)}",
-                cookie_string=encode_params(request.cookies),
-                post_string=encode_params(request.post_params),
+                request_string=None,
+                cookie_string=None,
+                post_string=None,
                 receive_time=receive_time,
                 delivery_time=delivery_time,
                 cacheable=cacheable,
                 request_token=token,
+                request=request,
             )
         )
         if cacheable:

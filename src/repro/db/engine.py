@@ -15,13 +15,12 @@ from __future__ import annotations
 import itertools
 import random
 import threading
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import CatalogError, ExecutionError
 from repro.sql import ast
 from repro.sql.parser import parse_statement
-from repro.sql.params import bind_parameters, number_parameters
+from repro.sql.params import bind_parameters, binding_arity, number_parameters
 from repro.db.executor import ExecutionContext, execute
 from repro.db.expr import Scope, evaluate, execution_context, passes
 from repro.db.index import HashIndex, Index, SortedIndex
@@ -38,22 +37,46 @@ Row = Tuple[Value, ...]
 _PLAN_CACHE_CAP = 256
 
 
-@dataclass
 class StatementResult:
     """Outcome of one executed statement.
 
     For SELECTs, ``columns``/``rows`` carry the result set.  For DML,
     ``rowcount`` is the number of affected rows.  The work counters are
     cumulative over the whole statement, including index maintenance.
+
+    ``statement`` is the statement with its parameters bound.  A SELECT
+    served from a cached plan binds nothing to run, so its result keeps
+    the parsed ``template`` plus the bindings and builds the bound
+    statement on first read; for every other result ``template`` is the
+    executed statement itself.
     """
 
-    statement: ast.Statement
-    columns: List[str] = field(default_factory=list)
-    rows: List[Row] = field(default_factory=list)
-    rowcount: int = 0
-    rows_examined: int = 0
-    index_probes: int = 0
-    triggers_fired: int = 0
+    def __init__(
+        self,
+        statement: ast.Statement,
+        columns: Optional[List[str]] = None,
+        rows: Optional[List[Row]] = None,
+        rowcount: int = 0,
+        rows_examined: int = 0,
+        index_probes: int = 0,
+        triggers_fired: int = 0,
+        bindings: Optional[Tuple[Value, ...]] = None,
+    ) -> None:
+        self.template = statement
+        self._statement = statement if bindings is None else None
+        self._bindings = bindings
+        self.columns: List[str] = columns if columns is not None else []
+        self.rows: List[Row] = rows if rows is not None else []
+        self.rowcount = rowcount
+        self.rows_examined = rows_examined
+        self.index_probes = index_probes
+        self.triggers_fired = triggers_fired
+
+    @property
+    def statement(self) -> ast.Statement:
+        if self._statement is None:
+            self._statement = bind_parameters(self.template, self._bindings)
+        return self._statement
 
     @property
     def work_units(self) -> int:
@@ -94,7 +117,9 @@ class Database:
         # every binding; entries whose plan is None memoize the parse only
         # (subquery-bearing SELECTs must re-resolve against live data).
         # Cleared on any DDL.
-        self._plan_cache: Dict[str, Tuple[ast.Statement, Optional[PlanNode]]] = {}
+        self._plan_cache: Dict[
+            str, Tuple[ast.Statement, Optional[PlanNode], Optional[int]]
+        ] = {}
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
         self._tables: Dict[str, HeapTable] = {}
@@ -232,11 +257,11 @@ class Database:
         SELECT text is memoized in the plan cache: the first execution
         parses, numbers its parameters, and plans; repeats skip straight to
         the executor.  The cache is LRU — a hit refreshes the entry so hot
-        statements survive bursts of cold ones.  Parameters still bind
-        every call (the bound statement is what
-        ``StatementResult.statement`` reports, and bind errors must
-        surface identically), but the cached plan resolves ``$n``
-        placeholders at runtime from this call's bindings.
+        statements survive bursts of cold ones.  The cached plan resolves
+        ``$n`` placeholders at runtime from this call's bindings, so a
+        planned SELECT binds nothing: the entry's arity check raises the
+        binder's own error for too few bindings, and
+        ``StatementResult.statement`` binds on first read.
 
         Thread safety: statements serialize on a per-database re-entrant
         lock, so concurrent connections (the async gateway's miss
@@ -252,13 +277,15 @@ class Database:
         params: Optional[Sequence[Value]] = None,
     ) -> StatementResult:
         plan: Optional[PlanNode] = None
+        arity: Optional[int] = None
         fill_key: Optional[str] = None
         if isinstance(statement, str):
             text = statement
             entry = self._plan_cache.get(text)
             if entry is not None:
-                statement, plan = entry
+                statement, plan = entry[0], entry[1]
                 if plan is not None:
+                    arity = entry[2]
                     self.plan_cache_hits += 1
                     # LRU: re-insert so eviction pops the coldest entry,
                     # not merely the oldest.
@@ -274,10 +301,14 @@ class Database:
                 if isinstance(statement, ast.Select):
                     fill_key = text
         bindings = tuple(params) if params else None
+        bound: Optional[ast.Statement] = statement
         if bindings is not None:
-            bound = bind_parameters(statement, bindings)
-        else:
-            bound = statement
+            if plan is None:
+                bound = bind_parameters(statement, bindings)
+            else:
+                if arity is None or len(bindings) < arity:
+                    bind_parameters(statement, bindings)  # raises the bind error
+                bound = None  # the result binds on first read
         self.statements_executed += 1
         # NOW() reads the logical DML clock and RAND() the seeded
         # per-database stream; both are pinned for the statement's duration
@@ -287,6 +318,8 @@ class Database:
         ):
             if fill_key is not None:
                 plan = self._fill_plan_cache(fill_key, statement)
+            if bound is None:
+                return self._run_plan(statement, plan, bindings)
             if plan is not None:
                 return self._run_plan(bound, plan)
             return self._dispatch(bound)
@@ -366,16 +399,24 @@ class Database:
             if len(self._plan_cache) >= _PLAN_CACHE_CAP:
                 self._plan_cache.pop(next(iter(self._plan_cache)))
         if contains_subquery(statement):
-            self._plan_cache[key] = (statement, None)
+            self._plan_cache[key] = (statement, None, None)
             return None
         for table in self._select_tables(statement):
             self.heap(table)  # raises CatalogError for unknown tables
         plan = self._planner.plan(number_parameters(statement))
-        self._plan_cache[key] = (statement, plan)
+        self._plan_cache[key] = (statement, plan, binding_arity(statement))
         return plan
 
-    def _run_plan(self, statement: ast.Select, plan: PlanNode) -> StatementResult:
-        """Execute a cached physical plan (no resolver work to charge)."""
+    def _run_plan(
+        self,
+        statement: ast.Select,
+        plan: PlanNode,
+        bindings: Optional[Tuple[Value, ...]] = None,
+    ) -> StatementResult:
+        """Execute a cached physical plan (no resolver work to charge).
+
+        With ``bindings``, ``statement`` is the unbound template and the
+        result binds it on first read."""
         context = ExecutionContext(self)
         scope, rows = self._execute_plan(plan, context)
         labels = [label.split(".", 1)[-1] for label in scope.column_labels()]
@@ -386,6 +427,7 @@ class Database:
             rowcount=len(rows),
             rows_examined=context.rows_examined,
             index_probes=context.index_probes,
+            bindings=bindings,
         )
 
     def _execute_select(self, statement: ast.Select) -> StatementResult:

@@ -5,10 +5,15 @@ Paper §3.2: *"the query logger works as a wrapper around the JDBC drivers
 independent of how they are generated."*
 
 :class:`LoggingDriver` decorates any :class:`repro.db.dbapi.Driver`.  For
-every statement it records the SQL text, the bound parameters, and the two
-timestamps the request-to-query mapper needs — query receive time and
-result delivery time.  Only SELECTs are logged (updates are visible to the
-invalidator through the database update log instead).
+every statement it records the SQL template text, the bound parameters,
+and the two timestamps the request-to-query mapper needs — query receive
+time and result delivery time.  Only SELECTs are logged (updates are
+visible to the invalidator through the database update log instead).
+
+A record keeps the statement as the driver received it — the ``?``
+template the engine's plan cache keys on, plus the bindings — rather
+than printing the bound instance: registration parses each template once
+and derives every instance's query type from its bindings.
 """
 
 from __future__ import annotations
@@ -19,6 +24,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.concurrency import ChunkedRecordLog, current_request_token
 from repro.sql import ast
+from repro.sql.params import bind_parameters
+from repro.sql.parser import parse_statement
 from repro.sql.printer import to_sql
 from repro.db.dbapi import Driver
 from repro.db.engine import Database, StatementResult
@@ -31,7 +38,8 @@ class QueryLogRecord:
 
     Attributes:
         query_id: unique id of this log entry.
-        sql: canonical SQL text of the *bound* statement (a query instance).
+        template: SQL text as executed; its ``?``/``$n`` parameters take
+            ``bindings`` (literal SQL has no bindings).
         receive_time: when the driver received the statement.
         delivery_time: when the results were handed back.
         rows_returned: result-set size (kept as a tuning statistic).
@@ -39,14 +47,24 @@ class QueryLogRecord:
             this thread when the query ran, or None for queries issued
             outside any instrumented request (those fall back to the
             paper's interval join in the mapper).
+        bindings: the parameter values the template executed with.
     """
 
     query_id: int
-    sql: str
+    template: str
     receive_time: float
     delivery_time: float
     rows_returned: int
     request_token: Optional[int] = None
+    bindings: Tuple[Value, ...] = ()
+
+    @property
+    def sql(self) -> str:
+        """Canonical text of the bound instance, printed on each read."""
+        statement = parse_statement(self.template)
+        if self.bindings:
+            statement = bind_parameters(statement, self.bindings)
+        return to_sql(statement)
 
 
 def _query_sort_key(record: QueryLogRecord) -> tuple:
@@ -107,17 +125,16 @@ class LoggingDriver(Driver):
         receive_time = self.clock()
         result = self.inner.run(database, sql, params)
         delivery_time = self.clock()
-        if isinstance(result.statement, (ast.Select, ast.Union)):
-            # Log the bound instance so the invalidator sees real constants.
-            statement = result.statement
+        if isinstance(result.template, (ast.Select, ast.Union)):
             self.log.append(
                 QueryLogRecord(
                     query_id=next(self._ids),
-                    sql=to_sql(statement),
+                    template=sql if isinstance(sql, str) else to_sql(sql),
                     receive_time=receive_time,
                     delivery_time=delivery_time,
                     rows_returned=result.rowcount,
                     request_token=current_request_token(),
+                    bindings=tuple(params) if params else (),
                 )
             )
         return result

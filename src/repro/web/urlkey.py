@@ -62,7 +62,13 @@ def page_key(request: HttpRequest, spec: KeySpec = ALL_GET) -> str:
     The key is deterministic (parameters sorted by name) so that two
     requests for the same logical page always map to the same cache slot.
     Format: ``host/path?get#post#cookie`` with url-encoded pairs.
+
+    The key is remembered on the request, so the front end that routes a
+    miss and the request logger that records it compute it once.
     """
+    keyed = request.keyed
+    if keyed is not None and keyed[0] is spec:
+        return keyed[1]
     get_pairs = spec._select(request.get_params, spec.get_keys)
     post_pairs = spec._select(request.post_params, spec.post_keys)
     cookie_pairs = spec._select(request.cookies, spec.cookie_keys)
@@ -73,4 +79,5 @@ def page_key(request: HttpRequest, spec: KeySpec = ALL_GET) -> str:
         key += "#post:" + urllib.parse.urlencode(post_pairs)
     if cookie_pairs:
         key += "#cookie:" + urllib.parse.urlencode(cookie_pairs)
+    request.keyed = (spec, key)
     return key
